@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
                                           : profile.base.timeline_out;
   util::Table table({"nodes", "threads", "roads_ms", "roads_p90", "sword_ms",
                      "sword_p90", "sword/roads", "roads_height",
-                     "roads_done%", "conv_s", "engine_s", "speedup", "par"});
+                     "roads_done%", "conv_s", "engine_s", "speedup"});
   for (const auto n : bench::node_sweep(profile.full, profile.base.nodes)) {
     auto cfg = profile.base;
     cfg.nodes = n;
@@ -80,8 +80,7 @@ int main(int argc, char** argv) {
                    util::Table::num(done_pct, 1),
                    util::Table::num(roads.converged_at_s, 0),
                    util::Table::num(roads.engine_wall_s, 2),
-                   util::Table::num(speedup, 2),
-                   util::Table::num(roads.engine_parallelism, 2)});
+                   util::Table::num(speedup, 2)});
   }
   table.print(std::cout);
   const int rc = bench::finish_report("fig3_latency_nodes", profile, table);
@@ -89,9 +88,6 @@ int main(int argc, char** argv) {
       "\npaper shape: ROADS ~log (depth-bound, jump when height grows), "
       "SWORD linear;\nROADS 40-60%% lower latency at scale. speedup = "
       "1-thread engine wall / N-thread\nengine wall at the same point "
-      "(bit-identical metrics either way); par = work/span\nparallelism "
-      "from per-thread CPU clocks — the speedup a host with >= threads "
-      "idle\ncores realizes, unaffected by the bench box being "
-      "oversubscribed.\n");
+      "(bit-identical metrics either way).\n");
   return rc;
 }

@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   const bool sharded = profile.base.threads > 1;
   util::Table table({"nodes", "threads", "roads_B", "sword_B", "roads/sword",
                      "roads_servers", "sword_servers", "engine_s",
-                     "speedup", "par"});
+                     "speedup"});
   for (const auto n : bench::node_sweep(profile.full, profile.base.nodes)) {
     auto cfg = profile.base;
     cfg.nodes = n;
@@ -54,8 +54,7 @@ int main(int argc, char** argv) {
          util::Table::num(roads.servers_contacted_avg, 1),
          with_sword ? util::Table::num(sword.servers_contacted_avg, 1) : "-",
          util::Table::num(roads.engine_wall_s, 2),
-         util::Table::num(speedup, 2),
-         util::Table::num(roads.engine_parallelism, 2)});
+         util::Table::num(speedup, 2)});
   }
   table.print(std::cout);
   const int rc = bench::finish_report("fig5_query_nodes", profile, table);

@@ -90,22 +90,18 @@ CentralQueryOutcome CentralRepository::run_query(const record::Query& query,
         const auto service =
             store::service_time_us(params_.service_model, stats, record_bytes);
         run->matches = ids.size();
-        // One combined reply+results message once retrieval finishes.
-        // The retrieval window is a service span; the deferred closure
-        // re-enters the captured context like the ROADS handlers do.
-        const auto svc = network_.begin_span(repository_node(), "service");
-        simulator_.schedule_after(
-            service, [this, run, client, record_bytes, svc] {
-              sim::ScopedTraceContext svc_scope(network_, svc);
-              network_.send(repository_node(), client,
-                            kReplyHeader + record_bytes,
-                            sim::Channel::kResult, [this, run] {
-                              run->reply_at = simulator_.now();
-                              run->results_at = simulator_.now();
-                              run->done = true;
-                            });
-              network_.end_span(svc);
-            });
+        // One combined reply+results message once retrieval finishes;
+        // the retrieval window is a service span, like the ROADS side's.
+        network_.defer(repository_node(), service, "service",
+                       [this, run, client, record_bytes] {
+                         network_.send(repository_node(), client,
+                                       kReplyHeader + record_bytes,
+                                       sim::Channel::kResult, [this, run] {
+                                         run->reply_at = simulator_.now();
+                                         run->results_at = simulator_.now();
+                                         run->done = true;
+                                       });
+                       });
       });
 
   std::size_t guard = 0;

@@ -228,8 +228,6 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
       timeline->start(fed.simulator());
     }
   }
-  sim::ShardedSimulator::ParallelStats par0;
-  if (fed.sharded() != nullptr) par0 = fed.sharded()->parallel_stats();
   const auto stabilize_start = std::chrono::steady_clock::now();
   fed.stabilize();
   const double stabilize_wall_s = wall_s(stabilize_start);
@@ -262,16 +260,6 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   // joins and the query batch below run event-at-a-time under either
   // engine.
   metrics.engine_wall_s = stabilize_wall_s + wall_s(engine_start);
-  if (fed.sharded() != nullptr) {
-    // Work/span delta over the same phase, from per-thread CPU clocks:
-    // the host-independent twin of the wall measurement above.
-    const auto p1 = fed.sharded()->parallel_stats();
-    sim::ShardedSimulator::ParallelStats d;
-    d.window_work_us = p1.window_work_us - par0.window_work_us;
-    d.window_span_us = p1.window_span_us - par0.window_span_us;
-    d.serial_us = p1.serial_us - par0.serial_us;
-    metrics.engine_parallelism = d.parallelism();
-  }
   const auto& update_meter = fed.network().meter(sim::Channel::kUpdate);
   metrics.update_bytes_per_round =
       static_cast<double>(update_meter.bytes) / static_cast<double>(cycle);
@@ -444,7 +432,6 @@ RunMetrics average_runs(
   }
 
   RunMetrics sum;
-  sum.engine_parallelism = 0.0;  // defaults to 1.0; accumulate from zero
   std::vector<util::MetricSet> instruments;
   instruments.reserve(runs);
   for (auto& m : results) {
@@ -467,7 +454,6 @@ RunMetrics average_runs(
     sum.time_to_recover_s += m.time_to_recover_s;
     sum.engine_wall_s += m.engine_wall_s;
     sum.total_wall_s += m.total_wall_s;
-    sum.engine_parallelism += m.engine_parallelism;
   }
   const auto d = static_cast<double>(runs);
   sum.latency_avg_ms /= d;
@@ -488,7 +474,6 @@ RunMetrics average_runs(
   sum.time_to_recover_s /= d;
   sum.engine_wall_s /= d;
   sum.total_wall_s /= d;
-  sum.engine_parallelism /= d;
   sum.instruments = util::MetricSet::average(instruments);
   return sum;
 }

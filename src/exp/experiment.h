@@ -167,12 +167,6 @@ struct RunMetrics {
   /// batch is event-at-a-time in both and would dilute the measure.
   double engine_wall_s = 0.0;
   double total_wall_s = 0.0;
-  /// Work/span parallelism of the engine phase, measured with per-
-  /// thread CPU clocks (sim::ShardedSimulator::ParallelStats): the
-  /// speedup a host with >= threads idle cores realizes. 1.0 on the
-  /// sequential engine. Unlike engine_wall_s this is meaningful even
-  /// when the benchmark host is oversubscribed or single-core.
-  double engine_parallelism = 1.0;
   /// Snapshot of the run's instrument registry (net.* channel meters,
   /// roads.* protocol counters, overlay/central latency histograms),
   /// averaged element-wise across repetitions.

@@ -1,8 +1,8 @@
 // Continuous handler-level CPU profiling for the event engines.
 //
-// Span tracing (obs/trace.h) cannot run under sim::ShardedSimulator —
-// delivery contexts are single-threaded state — so the parallel engine
-// needed its own cost-attribution story. This module attributes
+// Span tracing (obs/trace.h) does not run under sim::ShardedSimulator
+// yet — trace contexts are not carried across the window merge — so
+// the parallel engine needed its own cost-attribution story. This module attributes
 // *self-time* to handler categories (message kind × subsystem:
 // summary-push, query-forward, heartbeat, replica-cascade, join,
 // timer-maintenance, …). The category is decided at schedule/send time

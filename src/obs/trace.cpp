@@ -6,6 +6,8 @@
 
 namespace roads::obs {
 
+constinit thread_local TraceContext detail::t_trace_context{};
+
 const char* to_string(TraceKind kind) {
   switch (kind) {
     case TraceKind::kSend:

@@ -8,10 +8,12 @@
 //
 // Causal tracing: every event carries (trace, span, parent) so the
 // flat stream reconstructs into parent-child span trees (obs::SpanTree).
-// A TraceContext names the span currently executing; the network
-// piggybacks it on every message (the message transit becomes a child
-// span of whatever handler sent it) and protocol handlers open explicit
-// processing/service spans under it. `trace` is the id of the tree's
+// A TraceContext names the span currently executing. It rides the
+// event engine the way the profile category does (sim::Simulator stamps
+// each scheduled event with the current context and installs it while
+// the event runs), so a message transit becomes a child span of
+// whatever handler sent it and deferred work stays in its tree without
+// any handler passing contexts by hand. `trace` is the id of the tree's
 // root span, so one query / refresh wave / heartbeat wave can be pulled
 // out of the mixed stream with a single filter.
 #pragma once
@@ -58,21 +60,52 @@ constexpr std::size_t kTraceKindCount = 16;
 const char* to_string(TraceKind kind);
 
 /// The causal position a piece of work executes in: which tree it
-/// belongs to (`trace` = root span id), which span is currently open
-/// (`span` — new child spans and messages parent under it) and how many
-/// propagation steps separate it from the root (`depth`). A
+/// belongs to (`trace` = root span id) and which span is currently open
+/// (`span` — new child spans and messages parent under it). A
 /// default-constructed context is inactive: work started under it roots
 /// a fresh tree instead of extending one.
 struct TraceContext {
   std::uint64_t trace = 0;
   std::uint64_t span = 0;
-  std::uint32_t depth = 0;
 
   bool active() const { return trace != 0; }
   /// The context a child span `span_id` executes under.
   TraceContext child(std::uint64_t span_id) const {
-    return {trace != 0 ? trace : span_id, span_id, depth + 1};
+    return {trace != 0 ? trace : span_id, span_id};
   }
+};
+
+namespace detail {
+/// The context of the work executing on this thread: the running
+/// event's (installed by the engine) unless a ScopedTraceContext
+/// overrides it. constinit lets every access skip the TLS init wrapper.
+extern constinit thread_local TraceContext t_trace_context;
+}  // namespace detail
+
+/// The context a span opened, a message sent or an event scheduled
+/// right now belongs to.
+inline TraceContext current_trace_context() {
+  return detail::t_trace_context;
+}
+
+/// Installs `ctx` as the current context for the scope (nested scopes
+/// shadow; the previous context returns on exit). The engine wraps each
+/// event in one; beyond that, a client issuing its first message and
+/// sim::TraceSpan use it. Everything sent or scheduled inside the scope
+/// carries `ctx`.
+class ScopedTraceContext {
+ public:
+  explicit ScopedTraceContext(const TraceContext& ctx)
+      : saved_(detail::t_trace_context) {
+    detail::t_trace_context = ctx;
+  }
+  ~ScopedTraceContext() { detail::t_trace_context = saved_; }
+
+  ScopedTraceContext(const ScopedTraceContext&) = delete;
+  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
+
+ private:
+  TraceContext saved_;
 };
 
 struct TraceEvent {

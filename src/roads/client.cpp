@@ -30,7 +30,7 @@ void RoadsClient::trace_span(obs::TraceKind kind, sim::NodeId node,
   // Lifecycle endpoints pin to the root span itself; per-hop markers
   // pin to the span they fired inside (the delivering transit span),
   // which is what the critical-path walk chains from.
-  const auto ctx = network_.trace_context();
+  const auto ctx = obs::current_trace_context();
   const bool endpoint = kind == obs::TraceKind::kQueryStart ||
                         kind == obs::TraceKind::kQueryComplete;
   ev.span = (!endpoint && ctx.trace == span_ && ctx.span != 0) ? ctx.span
@@ -51,7 +51,7 @@ void RoadsClient::start(sim::NodeId start_server) {
   // The initial visit runs under the query's root span so the first
   // query message (and everything downstream of it) chains into the
   // tree rooted at span_.
-  sim::ScopedTraceContext scope(network_, obs::TraceContext{span_, span_, 0});
+  const obs::ScopedTraceContext scope(obs::TraceContext{span_, span_});
   visit(start_server, QueryMode::kStart);
 }
 

@@ -22,12 +22,10 @@ class Federation::OwnerAgent : public QueryTarget {
     client->on_arrival(node);
     auto& network = federation_.network_;
     // Same span discipline as RoadsServer::handle_query: processing
-    // opens at arrival and the deferred closures re-enter the context.
-    const auto proc = network.begin_span(node, "proc");
-    network.simulator().schedule_after(
-        federation_.config_.query_processing_delay, [this, client, node,
-                                                     proc, &network] {
-          sim::ScopedTraceContext trace_scope(network, proc);
+    // opens at arrival, retrieval is its own service span.
+    network.defer(
+        node, federation_.config_.query_processing_delay, "proc",
+        [this, client, node, &network] {
           auto records = owner_->answer(client->principal(), client->query());
           const std::size_t matches = records.size();
           const bool results_pending = client->collect_results() && matches > 0;
@@ -36,10 +34,7 @@ class Federation::OwnerAgent : public QueryTarget {
                        [client, node, matches, results_pending] {
                          client->on_reply(node, {}, matches, results_pending);
                        });
-          if (!results_pending) {
-            network.end_span(proc);
-            return;
-          }
+          if (!results_pending) return;
           std::uint64_t bytes = 0;
           for (const auto& r : records) bytes += r.wire_size();
           store::QueryStats stats;
@@ -47,20 +42,16 @@ class Federation::OwnerAgent : public QueryTarget {
           stats.matches = matches;
           const auto service = store::service_time_us(
               federation_.config_.service_model, stats, bytes);
-          const auto svc = network.begin_span(node, "service");
-          network.simulator().schedule_after(
-              service,
-              [client, node, bytes, svc, records = std::move(records),
+          network.defer(
+              node, service, "service",
+              [client, node, bytes, records = std::move(records),
                &network]() mutable {
-                sim::ScopedTraceContext svc_scope(network, svc);
                 network.send(node, client->location(), msg::results(bytes),
                              sim::Channel::kResult,
                              [client, node, records = std::move(records)]() mutable {
                                client->on_results(node, std::move(records));
                              });
-                network.end_span(svc);
               });
-          network.end_span(proc);
         });
   }
 
@@ -73,8 +64,8 @@ Federation::Federation(FederationParams params)
     : config_(params.config),
       schema_(std::move(params.schema)),
       rng_(params.seed),
-      // Sharded mode forces tracing off: the trace context is plain
-      // single-threaded state that delivery closures write.
+      // Sharded mode forces tracing off: shard engines do not carry
+      // trace contexts across the window merge.
       trace_(params.trace_capacity > 0 && params.threads <= 1
                  ? std::make_unique<obs::TraceBuffer>(params.trace_capacity)
                  : nullptr),

@@ -53,7 +53,7 @@ struct FederationParams {
   /// sequential engine; N > 1 shards the nodes across N engines driven
   /// in parallel under conservative time windows — bit-identical
   /// results (see sim/sharded_simulator.h), but tracing is forced off
-  /// because delivery contexts would race across shard threads.
+  /// because shard engines do not carry trace contexts.
   std::size_t threads = 1;
   /// Enables continuous handler-level profiling (obs/profile.h): every
   /// engine attributes per-event self-time to handler categories.

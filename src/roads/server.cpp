@@ -73,7 +73,7 @@ void RoadsServer::trace_event(obs::TraceKind kind, sim::NodeId peer,
   // Point events inherit the causal tree of whatever handler emits
   // them, so e.g. a heartbeat-miss shows up inside the failure-check
   // wave that detected it.
-  ev.trace = network_.trace_context().trace;
+  ev.trace = obs::current_trace_context().trace;
   trace->record(std::move(ev));
 }
 
@@ -868,23 +868,17 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
                                network_.simulator().now())) {
     cache_neg_hits_.inc();
     query_false_positives_.inc();
-    const auto proc = network_.begin_span(id_, "proc");
-    network_.simulator().schedule_after(
-        config_.query_cache_hit_delay, [this, client, proc] {
-          if (!alive_) {
-            network_.end_span(proc);
-            return;
-          }
-          sim::ScopedTraceContext trace_scope(network_, proc);
-          network_.send(id_, client->location(), msg::redirect_reply(0),
-                        sim::Channel::kQuery, [client, server = id_] {
-                          client->on_reply(
-                              server,
-                              std::vector<std::pair<sim::NodeId, QueryMode>>{},
-                              0, false);
-                        });
-          network_.end_span(proc);
-        });
+    network_.defer(id_, config_.query_cache_hit_delay, "proc",
+                   [this, client] {
+                     network_.send(
+                         id_, client->location(), msg::redirect_reply(0),
+                         sim::Channel::kQuery, [client, server = id_] {
+                           client->on_reply(
+                               server,
+                               std::vector<std::pair<sim::NodeId, QueryMode>>{},
+                               0, false);
+                         });
+                   });
     return;
   }
 
@@ -899,7 +893,8 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
     ++active_queries_;
     begin_query(std::move(client), mode);
   } else if (query_queue_.size() < config_.query_queue_limit) {
-    query_queue_.push_back(QueuedQuery{std::move(client), mode});
+    query_queue_.push_back(
+        QueuedQuery{std::move(client), mode, obs::current_trace_context()});
   } else {
     shed_query(client);
   }
@@ -908,46 +903,30 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
 void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
                               QueryMode mode) {
   // The processing span opens at evaluation start so admission queueing
-  // time is not attributed to per-hop processing. The deferred closure
-  // re-enters the captured context: raw schedule_after timers run
-  // outside any delivery scope.
-  const auto proc = network_.begin_span(id_, "proc");
+  // time is not attributed to per-hop processing.
   if (config_.query_cache_enabled) {
     if (auto entry = query_cache_.find(cache_key(*client, mode))) {
       cache_hits_.inc();
       // A hit holds its slot only for the lookup/assembly delay — the
       // source of the cache's sustainable-QPS win.
-      network_.simulator().schedule_after(
-          config_.query_cache_hit_delay,
-          [this, client, entry = std::move(entry), proc] {
-            if (!alive_) {
-              network_.end_span(proc);
-              return;
-            }
-            sim::ScopedTraceContext trace_scope(network_, proc);
-            serve_cached(client, entry, proc);
-            network_.end_span(proc);
-            finish_query();
-          });
+      network_.defer(id_, config_.query_cache_hit_delay, "proc",
+                     [this, client, entry = std::move(entry)] {
+                       serve_cached(client, entry);
+                       finish_query();
+                     });
       return;
     }
     cache_misses_.inc();
   }
-  network_.simulator().schedule_after(
-      config_.query_processing_delay, [this, client, mode, proc] {
-        if (!alive_) {
-          network_.end_span(proc);
-          return;
-        }
-        evaluate_query(client, mode, proc);
-        finish_query();
-      });
+  network_.defer(id_, config_.query_processing_delay, "proc",
+                 [this, client, mode] {
+                   evaluate_query(client, mode);
+                   finish_query();
+                 });
 }
 
 void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
-                                 QueryMode mode,
-                                 const obs::TraceContext& proc) {
-  sim::ScopedTraceContext trace_scope(network_, proc);
+                                 QueryMode mode) {
   const auto& q = client->query();
   std::vector<std::pair<sim::NodeId, QueryMode>> targets;
   std::uint64_t shortcut_hits = 0;
@@ -1026,7 +1005,7 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
     // Pinned to the processing span: the critical-path analyzer
     // marks the transit that fed this hop as detour time.
     trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
-                proc.span);
+                obs::current_trace_context().span);
   }
 
   const bool results_pending = client->collect_results() && local_matches > 0;
@@ -1072,36 +1051,29 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   if (results_pending) {
     // Retrieval time is its own span (child of proc) so response
     // critical paths separate evaluation from service delay.
-    const auto svc = network_.begin_span(id_, "service");
-    network_.simulator().schedule_after(
-        service, [this, client, record_bytes, svc,
-                  records = std::move(local_records)]() mutable {
-          if (!alive_) {
-            network_.end_span(svc);
-            return;
-          }
-          sim::ScopedTraceContext svc_scope(network_, svc);
-          network_.send(id_, client->location(), msg::results(record_bytes),
-                        sim::Channel::kResult,
-                        [client, server = id_,
-                         records = std::move(records)]() mutable {
-                          client->on_results(server, std::move(records));
-                        });
-          network_.end_span(svc);
-        });
+    network_.defer(id_, service, "service",
+                   [this, client, record_bytes,
+                    records = std::move(local_records)]() mutable {
+                     network_.send(id_, client->location(),
+                                   msg::results(record_bytes),
+                                   sim::Channel::kResult,
+                                   [client, server = id_,
+                                    records = std::move(records)]() mutable {
+                                     client->on_results(server,
+                                                        std::move(records));
+                                   });
+                   });
   }
-  network_.end_span(proc);
 }
 
 void RoadsServer::serve_cached(const std::shared_ptr<RoadsClient>& client,
-                               const std::shared_ptr<const CachedReply>& entry,
-                               const obs::TraceContext& proc) {
+                               const std::shared_ptr<const CachedReply>& entry) {
   // Replay the accounting the cold evaluation would have produced, so
   // the §V meters (fp rate, shortcut usage) are cache-transparent.
   if (entry->false_positive) {
     query_false_positives_.inc();
     trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
-                proc.span);
+                obs::current_trace_context().span);
   }
   if (entry->shortcut_hits > 0) overlay_shortcut_hits_.inc(entry->shortcut_hits);
 
@@ -1114,21 +1086,12 @@ void RoadsServer::serve_cached(const std::shared_ptr<RoadsClient>& client,
                 });
 
   if (entry->results_pending) {
-    const auto svc = network_.begin_span(id_, "service");
-    network_.simulator().schedule_after(
-        entry->service_us, [this, client, entry, svc] {
-          if (!alive_) {
-            network_.end_span(svc);
-            return;
-          }
-          sim::ScopedTraceContext svc_scope(network_, svc);
-          network_.send(id_, client->location(),
-                        msg::results(entry->record_bytes), sim::Channel::kResult,
-                        [client, server = id_, entry] {
-                          client->on_results(server, entry->records);
-                        });
-          network_.end_span(svc);
-        });
+    network_.defer(id_, entry->service_us, "service", [this, client, entry] {
+      network_.send(id_, client->location(), msg::results(entry->record_bytes),
+                    sim::Channel::kResult, [client, server = id_, entry] {
+                      client->on_results(server, entry->records);
+                    });
+    });
   }
 }
 
@@ -1140,6 +1103,10 @@ void RoadsServer::finish_query() {
     auto next = std::move(query_queue_.front());
     query_queue_.pop_front();
     ++active_queries_;
+    // The queue is the one hand-off outside the event queue: the
+    // dequeued query resumes in the context it arrived under, not in
+    // the finishing query's.
+    const obs::ScopedTraceContext trace_scope(next.trace);
     begin_query(std::move(next.client), next.mode);
   }
 }

@@ -202,13 +202,12 @@ class RoadsServer : public QueryTarget {
   void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode);
   /// The cold evaluation (local store + attachments + child summaries +
   /// overlay shortcuts), reply send, and cache fill. Runs inside the
-  /// processing-delay closure under the `proc` span.
+  /// processing-delay event under its `proc` span.
   void evaluate_query(const std::shared_ptr<RoadsClient>& client,
-                      QueryMode mode, const obs::TraceContext& proc);
+                      QueryMode mode);
   /// Replays a cached reply (counters, redirect reply, result batch).
   void serve_cached(const std::shared_ptr<RoadsClient>& client,
-                    const std::shared_ptr<const CachedReply>& entry,
-                    const obs::TraceContext& proc);
+                    const std::shared_ptr<const CachedReply>& entry);
   /// Releases an evaluation slot and admits the next queued query.
   void finish_query();
   /// Sheds `client` with an immediate overload reply.
@@ -334,6 +333,7 @@ class RoadsServer : public QueryTarget {
   struct QueuedQuery {
     std::shared_ptr<RoadsClient> client;
     QueryMode mode = QueryMode::kStart;
+    obs::TraceContext trace;  // the arrival's context, resumed on dequeue
   };
   /// Queries currently holding an evaluation slot (admission on).
   std::size_t active_queries_ = 0;

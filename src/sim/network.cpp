@@ -55,6 +55,7 @@ const char* to_string(Channel channel) {
 Network::Network(Simulator& simulator, DelaySpace& delay_space, util::Rng rng,
                  obs::MetricsRegistry* metrics, obs::TraceBuffer* trace)
     : sim_(simulator), space_(delay_space), rng_(rng), trace_(trace) {
+  sim_.set_tracing(trace_ != nullptr);
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<obs::MetricsRegistry>();
     metrics = owned_metrics_.get();
@@ -100,6 +101,7 @@ void Network::set_trace(obs::TraceBuffer* trace) {
         "detach the sharded coordinator before enabling the trace buffer");
   }
   trace_ = trace;
+  sim_.set_tracing(trace_ != nullptr);
 }
 
 bool Network::node_up(NodeId node) const {
@@ -119,18 +121,14 @@ void Network::trace_message(obs::TraceKind kind, NodeId from, NodeId to,
                   to_string(channel), trace, parent});
 }
 
-obs::TraceContext Network::begin_span_under(const obs::TraceContext& parent,
-                                            NodeId node, const char* label) {
+obs::TraceContext Network::begin_span(NodeId node, const char* label) {
   if (trace_ == nullptr) return {};
+  const auto parent = obs::current_trace_context();
   const std::uint64_t id = trace_->next_span();
   const auto ctx = parent.child(id);
   trace_->record({sim_.now(), obs::TraceKind::kSpanBegin, id, node, node, 0,
                   0.0, label, ctx.trace, parent.span});
   return ctx;
-}
-
-obs::TraceContext Network::begin_span(NodeId node, const char* label) {
-  return begin_span_under(trace_ctx_, node, label);
 }
 
 void Network::end_span(const obs::TraceContext& ctx) {
@@ -261,20 +259,23 @@ void Network::send(NodeId from, NodeId to, std::uint64_t bytes,
 obs::TraceContext Network::trace_send(NodeId from, NodeId to,
                                       std::uint64_t bytes, Channel channel) {
   if (trace_ == nullptr) return {};
+  const auto parent = obs::current_trace_context();
   const std::uint64_t span = trace_->next_span();
-  const auto ctx = trace_ctx_.child(span);
+  const auto ctx = parent.child(span);
   trace_message(obs::TraceKind::kSend, from, to, bytes, channel, span,
-                ctx.trace, trace_ctx_.span);
+                ctx.trace, parent.span);
   return ctx;
 }
 
 void Network::schedule_delivery(NodeId from, NodeId to, std::uint64_t bytes,
                                 Channel channel, Time delay,
-                                obs::TraceContext delivery_ctx,
+                                const obs::TraceContext& transit,
                                 DeliverFn deliver) {
   EventFn event(
-      [this, from, to, bytes, channel, delivery_ctx,
-       fn = std::move(deliver)]() mutable {
+      [this, from, to, bytes, channel, fn = std::move(deliver)]() mutable {
+        // The delivery runs under its transit span (the event's context),
+        // so any send the handler makes becomes a child span of it.
+        const auto delivery_ctx = obs::current_trace_context();
         // A receiver that died in flight (or got partitioned away while
         // the message was on the wire) drops the message; the sender
         // already spent the bytes, so the channel charge stands.
@@ -302,14 +303,12 @@ void Network::schedule_delivery(NodeId from, NodeId to, std::uint64_t bytes,
           trace_message(obs::TraceKind::kDeliver, from, to, bytes, channel,
                         delivery_ctx.span, delivery_ctx.trace);
         }
-        // The handler runs inside the message's causal context: any
-        // send it makes becomes a child span of this transit.
-        ScopedTraceContext scope(*this, delivery_ctx);
         fn();
       });
   // Channel default wins only when the send site set no explicit tag;
   // the slot byte is read by schedule_at/schedule_on_node below.
   obs::ScopedProfDefault prof_default(channel_category(channel));
+  const obs::ScopedTraceContext trace_scope(transit);
   if (sharded_ != nullptr) {
     // Sharded mode: the delivery lands on the engine owning the
     // receiver (cross-shard sends ride the window log to the barrier).

@@ -28,18 +28,16 @@
 // private one. An optional obs::TraceBuffer receives structured
 // send/deliver/drop events.
 //
-// Causal tracing: the network carries a current obs::TraceContext —
-// the span whatever handler is presently executing belongs to. Every
-// traced message allocates a transit span as a child of that context
-// (or roots a fresh tree when none is active), and the delivery
-// callback runs with the message's context installed, so sends made
-// inside a handler automatically chain into the same tree across any
-// number of hops. This is plain (non-atomic) state because each
-// Simulator run is single-threaded; parallel experiment repetitions
-// own separate Network instances. Handlers that defer work through
-// raw Simulator::schedule_after must capture trace_context() at
-// delivery and reinstall it (ScopedTraceContext) inside the closure,
-// or the deferred sends root new trees.
+// Causal tracing: the current obs::TraceContext rides the event engine
+// (Simulator::set_tracing, on while a trace buffer is attached). Every
+// traced message allocates a transit span as a child of the current
+// context (or roots a fresh tree when none is active) and its delivery
+// is scheduled under that transit span, so sends made inside a handler
+// chain into the same tree across any number of hops. Timers a handler
+// arms inherit its context the same way. Deferred work that deserves
+// its own span (query processing, retrieval service) goes through
+// defer(), which opens the span, runs the work under it if the node is
+// still up, and closes it.
 #pragma once
 
 #include <array>
@@ -113,8 +111,8 @@ class Network {
 
   /// Routes scheduling, clock reads, delivery placement and in-window
   /// digest folds through `sharded` (see sim/sharded_simulator.h).
-  /// Tracing must be off: delivery contexts would race across shard
-  /// threads. nullptr detaches.
+  /// Tracing must be off: shard engines do not carry trace contexts and
+  /// the span ring has no window-merge order. nullptr detaches.
   void attach_sharded(ShardedSimulator* sharded);
 
   /// The registry backing the channel meters (owned or shared);
@@ -123,22 +121,12 @@ class Network {
   const obs::MetricsRegistry& metrics() const { return *metrics_; }
 
   obs::TraceBuffer* trace() { return trace_; }
-  /// Throws std::logic_error when a sharded coordinator is attached:
-  /// delivery closures would install trace contexts concurrently across
-  /// shard threads (the same contract attach_sharded enforces from the
-  /// other side). Use handler profiling (obs/profile.h) under sharding.
+  /// Attaches (or with nullptr detaches) the trace buffer and switches
+  /// the engine's context carriage with it. Throws std::logic_error
+  /// when a sharded coordinator is attached (the same contract
+  /// attach_sharded enforces from the other side). Use handler
+  /// profiling (obs/profile.h) under sharding.
   void set_trace(obs::TraceBuffer* trace);
-
-  /// The causal context of the handler currently executing (inactive
-  /// outside any traced delivery/span). Prefer ScopedTraceContext /
-  /// TraceSpan over calling set_trace_context directly.
-  obs::TraceContext trace_context() const { return trace_ctx_; }
-  /// No-op when tracing is off: context installs happen inside delivery
-  /// closures, which run concurrently across shard threads in sharded
-  /// mode — with tracing disabled nothing may write this plain member.
-  void set_trace_context(const obs::TraceContext& ctx) {
-    if (trace_ != nullptr) trace_ctx_ = ctx;
-  }
 
   /// Opens an explicit span as a child of the current context (a fresh
   /// root when none is active), emits kSpanBegin and returns the
@@ -146,10 +134,24 @@ class Network {
   /// returned when tracing is off. `label` is the span taxonomy name
   /// ("proc", "service", or a root-cause name like "summary_refresh").
   obs::TraceContext begin_span(NodeId node, const char* label);
-  obs::TraceContext begin_span_under(const obs::TraceContext& parent,
-                                     NodeId node, const char* label);
-  /// Closes a span opened by begin_span* (no-op for inactive contexts).
+  /// Closes a span opened by begin_span (no-op for inactive contexts).
   void end_span(const obs::TraceContext& ctx);
+
+  /// Deferred work at `node` under its own span: opens span `label`
+  /// now (child of the current context), runs `fn` after `delay` under
+  /// that span only if `node` is still up, then closes the span. A
+  /// server's liveness and its node_up flag flip together, so the
+  /// check covers crashes, departures and fault-plan transitions.
+  template <class Fn>
+  void defer(NodeId node, Time delay, const char* label, Fn fn) {
+    const obs::ScopedTraceContext scope(begin_span(node, label));
+    simulator().schedule_after(
+        delay, [this, node, fn = std::move(fn)]() mutable {
+          if (node_up(node)) fn();
+          // The event runs under the span it was scheduled with.
+          end_span(obs::current_trace_context());
+        });
+  }
 
   /// One-way latency from a to b (delegates to the delay space).
   Time latency(NodeId a, NodeId b) const { return space_.latency(a, b); }
@@ -229,9 +231,10 @@ class Network {
   /// kSend event; returns the context the delivery should run under.
   obs::TraceContext trace_send(NodeId from, NodeId to, std::uint64_t bytes,
                                Channel channel);
+  /// Schedules the delivery event under `transit`, the message's span.
   void schedule_delivery(NodeId from, NodeId to, std::uint64_t bytes,
                          Channel channel, Time delay,
-                         obs::TraceContext delivery_ctx, DeliverFn deliver);
+                         const obs::TraceContext& transit, DeliverFn deliver);
   void set_partition_active(std::size_t index, bool active);
   /// Current-context engine (same as the public simulator()).
   Simulator& cur();
@@ -262,46 +265,17 @@ class Network {
   obs::Counter* fault_partitioned_;
   util::Fnv1a digest_;
   std::vector<bool> down_;  // indexed by NodeId; default all up
-  obs::TraceContext trace_ctx_;
-};
-
-/// RAII: installs `ctx` as the network's current trace context and
-/// restores the previous one on scope exit. Used by the delivery path
-/// and by handlers that re-enter a captured context from a deferred
-/// closure.
-class ScopedTraceContext {
- public:
-  ScopedTraceContext(Network& net, const obs::TraceContext& ctx)
-      : net_(net), prev_(net.trace_context()) {
-    net_.set_trace_context(ctx);
-  }
-  ~ScopedTraceContext() { net_.set_trace_context(prev_); }
-
-  ScopedTraceContext(const ScopedTraceContext&) = delete;
-  ScopedTraceContext& operator=(const ScopedTraceContext&) = delete;
-
- private:
-  Network& net_;
-  obs::TraceContext prev_;
 };
 
 /// RAII span: begins a span (child of the current context, or a fresh
 /// root when none is active — e.g. a timer-driven refresh wave),
-/// installs its context, and ends + restores on destruction. A no-op
-/// when tracing is off.
+/// installs its context for the scope, and ends it on destruction. A
+/// no-op when tracing is off.
 class TraceSpan {
  public:
   TraceSpan(Network& net, NodeId node, const char* label)
-      : net_(net), prev_(net.trace_context()),
-        ctx_(net.begin_span(node, label)) {
-    if (ctx_.span != 0) net_.set_trace_context(ctx_);
-  }
-  ~TraceSpan() {
-    if (ctx_.span != 0) {
-      net_.end_span(ctx_);
-      net_.set_trace_context(prev_);
-    }
-  }
+      : net_(net), ctx_(net.begin_span(node, label)), scope_(ctx_) {}
+  ~TraceSpan() { net_.end_span(ctx_); }
 
   TraceSpan(const TraceSpan&) = delete;
   TraceSpan& operator=(const TraceSpan&) = delete;
@@ -310,8 +284,8 @@ class TraceSpan {
 
  private:
   Network& net_;
-  obs::TraceContext prev_;
   obs::TraceContext ctx_;
+  obs::ScopedTraceContext scope_;
 };
 
 }  // namespace roads::sim

@@ -6,10 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#if defined(__linux__) || defined(__APPLE__)
-#include <time.h>
-#endif
-
 #include "obs/metrics.h"
 #include "obs/profile.h"
 
@@ -22,21 +18,6 @@ std::int64_t now_us() {
   return std::chrono::duration_cast<std::chrono::microseconds>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-// CPU time of the calling thread: the work/span accounting must not be
-// distorted by time-slicing when the host grants fewer cores than
-// shards (or by unrelated load). Falls back to wall time where no
-// per-thread CPU clock exists.
-std::int64_t thread_cpu_us() {
-#if defined(CLOCK_THREAD_CPUTIME_ID)
-  timespec ts;
-  if (clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts) == 0) {
-    return static_cast<std::int64_t>(ts.tv_sec) * 1'000'000 +
-           ts.tv_nsec / 1'000;
-  }
-#endif
-  return now_us();
 }
 }  // namespace
 
@@ -53,7 +34,6 @@ ShardedSimulator::ShardedSimulator(Simulator& global, std::size_t shards)
   resolved_.resize(shards);
   cursors_.resize(shards, 0);
   busy_us_.resize(shards, 0);
-  busy_cpu_us_.resize(shards, 0);
   global_.set_shared_seq(&next_seq_);
   for (auto& s : shards_) s->set_shared_seq(&next_seq_);
 }
@@ -210,13 +190,11 @@ bool ShardedSimulator::micro_pop() {
 
 void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
   const std::int64_t t0 = now_us();
-  const std::int64_t c0 = thread_cpu_us();
   const ExecContext prev = tls_;
   tls_ = ExecContext{this, shards_[shard].get(), shard, &logs_[shard]};
   shards_[shard]->run_window(window_end, &logs_[shard]);
   tls_ = prev;
   busy_us_[shard] = now_us() - t0;
-  busy_cpu_us_[shard] = thread_cpu_us() - c0;
 }
 
 std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
@@ -229,7 +207,6 @@ std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
   if (active_.empty()) return 0;
   cur_window_end_ = window_end;
   if (windows_counter_ != nullptr) windows_counter_->inc();
-  ++par_.windows;
   const std::size_t before = stats().executed;
   // Utilization accounting baselines: each shard engine accumulates
   // its in-loop tick time into its ProfSink; the per-window busy is
@@ -245,7 +222,6 @@ std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
   if (active_.size() == 1) {
     // One busy shard: run inline, skip the pool round-trip.
     run_shard_window(active_[0], window_end);
-    inline_cpu_us_ += busy_cpu_us_[active_[0]];
     wall_us = busy_us_[active_[0]];
   } else {
     ensure_pool();
@@ -296,13 +272,6 @@ std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
       }
     }
   }
-  std::int64_t work = 0, span = 0;
-  for (const std::size_t i : active_) {
-    work += busy_cpu_us_[i];
-    span = std::max(span, busy_cpu_us_[i]);
-  }
-  par_.window_work_us += static_cast<std::uint64_t>(work);
-  par_.window_span_us += static_cast<std::uint64_t>(span);
   merge_window();
   return stats().executed - before;
 }
@@ -381,13 +350,6 @@ void ShardedSimulator::ensure_pool() {
 
 std::size_t ShardedSimulator::run_until(Time deadline) {
   const std::size_t before = stats().executed;
-  // Coordinator CPU over the whole drive, minus window work that ran
-  // inline on this thread (counted under work/span instead), is the
-  // serial leg of the work/span decomposition: frontier scans, merges
-  // and micro-steps that no extra core can help with.
-  const std::int64_t c0 = thread_cpu_us();
-  const std::int64_t inline0 = inline_cpu_us_;
-  const ParallelStats snap = par_;
   for (;;) {
     Time t;
     std::uint64_t s;
@@ -414,23 +376,12 @@ std::size_t ShardedSimulator::run_until(Time deadline) {
   }
   global_.advance_clock(deadline);
   for (auto& sh : shards_) sh->advance_clock(deadline);
-  const std::int64_t serial =
-      (thread_cpu_us() - c0) - (inline_cpu_us_ - inline0);
-  if (serial > 0) par_.serial_us += static_cast<std::uint64_t>(serial);
-  if (work_counter_ != nullptr) {
-    work_counter_->inc(par_.window_work_us - snap.window_work_us);
-    span_counter_->inc(par_.window_span_us - snap.window_span_us);
-    serial_counter_->inc(par_.serial_us - snap.serial_us);
-  }
   return stats().executed - before;
 }
 
 std::size_t ShardedSimulator::run_steps(std::size_t limit) {
-  const std::int64_t c0 = thread_cpu_us();
   std::size_t executed = 0;
   while (executed < limit && micro_pop()) ++executed;
-  const std::int64_t serial = thread_cpu_us() - c0;
-  if (serial > 0) par_.serial_us += static_cast<std::uint64_t>(serial);
   return executed;
 }
 
@@ -464,9 +415,6 @@ void ShardedSimulator::bind_metrics(obs::MetricsRegistry& registry) {
   windows_counter_ = &registry.counter("sim.shard.windows");
   barrier_wait_counter_ = &registry.counter("sim.shard.barrier_wait_us");
   cross_sends_counter_ = &registry.counter("sim.shard.cross_sends");
-  work_counter_ = &registry.counter("sim.shard.window_work_us");
-  span_counter_ = &registry.counter("sim.shard.window_span_us");
-  serial_counter_ = &registry.counter("sim.shard.serial_us");
   registry.set_help("sim.shard.windows", "Parallel windows executed");
   registry.set_help("sim.shard.barrier_wait_us",
                     "Wall time shards spent waiting at window barriers");

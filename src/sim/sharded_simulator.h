@@ -171,31 +171,6 @@ class ShardedSimulator {
   /// digests stay bit-identical (profile_test).
   void attach_profiler(obs::Profiler* profiler);
 
-  /// Work/span decomposition of the run so far, measured with per-
-  /// thread CPU clocks so it is meaningful regardless of how many
-  /// cores the host actually granted (an oversubscribed or single-core
-  /// box inflates wall clocks but not CPU time):
-  ///  * window_work_us — Σ over windows of Σ active-shard CPU,
-  ///  * window_span_us — Σ over windows of the slowest shard's CPU
-  ///    (the critical path through the parallel phase),
-  ///  * serial_us — coordinator CPU outside shard window loops
-  ///    (micro-steps, barrier merges, frontier scans).
-  /// parallelism() = (serial + work) / (serial + span) is the Amdahl
-  /// speedup an unloaded machine with >= shard_count() cores realizes;
-  /// the scaling benches report it alongside raw wall speedup.
-  struct ParallelStats {
-    std::uint64_t window_work_us = 0;
-    std::uint64_t window_span_us = 0;
-    std::uint64_t serial_us = 0;
-    std::uint64_t windows = 0;
-    double parallelism() const {
-      const double span = static_cast<double>(serial_us + window_span_us);
-      if (span <= 0.0) return 1.0;
-      return static_cast<double>(serial_us + window_work_us) / span;
-    }
-  };
-  ParallelStats parallel_stats() const { return par_; }
-
   // --- Execution-context routing (Network / Federation hooks) ------------
 
   /// The engine owning the currently executing context: the shard
@@ -262,21 +237,15 @@ class ShardedSimulator {
   std::vector<std::size_t> cursors_;
   std::vector<std::size_t> active_;
   std::vector<std::int64_t> busy_us_;
-  std::vector<std::int64_t> busy_cpu_us_;
   obs::Profiler* profiler_ = nullptr;
   std::vector<std::uint64_t> work_ticks_snap_;  // per-shard, per window
   std::vector<std::uint8_t> shard_active_;      // scratch flags per window
-  ParallelStats par_;
-  std::int64_t inline_cpu_us_ = 0;  // window CPU spent on the coordinator
   Time cur_window_end_ = 0;
   std::unique_ptr<util::ThreadPool> pool_;
 
   obs::Counter* windows_counter_ = nullptr;
   obs::Counter* barrier_wait_counter_ = nullptr;
   obs::Counter* cross_sends_counter_ = nullptr;
-  obs::Counter* work_counter_ = nullptr;
-  obs::Counter* span_counter_ = nullptr;
-  obs::Counter* serial_counter_ = nullptr;
   std::vector<obs::Counter*> shard_cross_counters_;
   std::vector<obs::Counter*> shard_busy_counters_;
   std::vector<obs::Counter*> shard_idle_counters_;

@@ -106,6 +106,9 @@ EventId Simulator::schedule_at(Time when, EventFn fn) {
   // Category resolution (profiled runs only): the explicit scope tag
   // if one is active, else inherit from the executing handler.
   slot.category = prof_ != nullptr ? obs::prof_current_category() : 0;
+  // Trace context resolution (tracing runs only), same rule: an
+  // explicit scope if one is active, else the executing handler's.
+  slot.trace = tracing_ ? obs::current_trace_context() : obs::TraceContext{};
   const std::uint32_t gen = slot.generation;
   if (window_log_ != nullptr) {
     // Parallel window: the global seq this event would have drawn
@@ -211,7 +214,14 @@ void Simulator::execute_ref(HeapKey key, HeapRef ref) {
     // nothing schedules, so per-event clearing would be wasted stores.
     obs::detail::t_exec_category = slot.category;
   }
-  slot.fn();
+  if (tracing_) {
+    // Sends, spans and schedules the handler makes inherit the context
+    // the event was scheduled under.
+    const obs::ScopedTraceContext trace_scope(slot.trace);
+    slot.fn();
+  } else {
+    slot.fn();
+  }
   slot.fn = nullptr;
   slot.next_free = free_head_;
   free_head_ = ref.slot;

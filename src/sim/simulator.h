@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "obs/trace.h"
 #include "sim/time.h"
 #include "util/unique_function.h"
 
@@ -41,12 +42,11 @@ struct ShardWindowLog;
 using EventId = std::uint64_t;
 
 /// Inline capacity 48 covers every protocol timer, fault transition
-/// and trampoline closure in the tree, keeping slab slots one cache
-/// line (96 bytes) so deep queues stay memory-lean. Network delivery
-/// closures (~150 bytes: DeliverFn + endpoints + TraceContext) spill
-/// to the thread-local util::spill pool, whose LIFO free lists hand
-/// back cache-warm blocks under the bounded in-flight message counts
-/// the protocols produce.
+/// and trampoline closure in the tree, keeping slab slots compact so
+/// deep queues stay memory-lean. Network delivery closures (~130
+/// bytes: DeliverFn + endpoints) spill to the thread-local util::spill
+/// pool, whose LIFO free lists hand back cache-warm blocks under the
+/// bounded in-flight message counts the protocols produce.
 using EventFn = util::UniqueFunction<void(), 48>;
 
 class Simulator {
@@ -113,6 +113,15 @@ class Simulator {
   /// without a sink the engine pays one predictable branch per event.
   void set_profile_sink(obs::ProfSink* sink) { prof_ = sink; }
   obs::ProfSink* profile_sink() const { return prof_; }
+
+  /// Carries causal trace contexts (see obs/trace.h) the way the
+  /// profile category rides the slot: every schedule stamps the event
+  /// with obs::current_trace_context() — an explicit ScopedTraceContext
+  /// if one is active, else the running event's own context — and the
+  /// event runs with that context installed. sim::Network turns this on
+  /// when a trace buffer is attached; off, the engine pays one
+  /// predictable branch per schedule and per event.
+  void set_tracing(bool on) { tracing_ = on; }
 
   // --- Sharded-engine hooks (sim::ShardedSimulator) -----------------------
   //
@@ -205,6 +214,7 @@ class Simulator {
     std::uint32_t next_free = kNoSlot;
     bool active = false;
     std::uint8_t category = 0;  // profiling tag (rides existing padding)
+    obs::TraceContext trace;    // causal context (tracing runs only)
   };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   // Fixed-size chunks keep slot addresses stable as the slab grows —
@@ -252,6 +262,7 @@ class Simulator {
   Stats stats_;
 
   obs::ProfSink* prof_ = nullptr;  // non-null: handler profiling on
+  bool tracing_ = false;           // stamp + install trace contexts
 
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Gauge* max_depth_gauge_ = nullptr;

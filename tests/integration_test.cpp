@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 
 #include "exp/experiment.h"
 #include "exp/load.h"
@@ -214,6 +215,38 @@ TEST(Integration, AverageRunsAveragesDeterministically) {
   const auto b = exp::average_runs(cfg, exp::run_roads_once);
   EXPECT_DOUBLE_EQ(a.latency_avg_ms, b.latency_avg_ms);
   EXPECT_DOUBLE_EQ(a.update_bytes_per_round, b.update_bytes_per_round);
+
+  // Repetitions on the thread pool are the free, exact parallelism:
+  // every simulated field must equal the serial path's bit for bit.
+  // Only wall clocks differ — engine_wall_s/total_wall_s and the
+  // instruments' wall-timed histograms (*_us), whose counts still match.
+  cfg.parallel_runs = false;
+  const auto s = exp::average_runs(cfg, exp::run_roads_once);
+  EXPECT_EQ(a.latency_avg_ms, s.latency_avg_ms);
+  EXPECT_EQ(a.latency_p90_ms, s.latency_p90_ms);
+  EXPECT_EQ(a.query_bytes_avg, s.query_bytes_avg);
+  EXPECT_EQ(a.servers_contacted_avg, s.servers_contacted_avg);
+  EXPECT_EQ(a.matches_avg, s.matches_avg);
+  EXPECT_EQ(a.update_bytes_per_round, s.update_bytes_per_round);
+  EXPECT_EQ(a.update_bytes_per_s, s.update_bytes_per_s);
+  EXPECT_EQ(a.max_storage_bytes, s.max_storage_bytes);
+  EXPECT_EQ(a.queries_completed, s.queries_completed);
+  EXPECT_EQ(a.queries_shed, s.queries_shed);
+  EXPECT_EQ(a.queries_rejected, s.queries_rejected);
+  EXPECT_EQ(a.hierarchy_height, s.hierarchy_height);
+  EXPECT_EQ(a.maintenance_msgs_per_round, s.maintenance_msgs_per_round);
+  EXPECT_EQ(a.root_contact_fraction, s.root_contact_fraction);
+  EXPECT_EQ(a.converged_at_s, s.converged_at_s);
+  EXPECT_EQ(a.time_to_recover_s, s.time_to_recover_s);
+  ASSERT_EQ(a.instruments.values().size(), s.instruments.values().size());
+  for (const auto& [name, value] : a.instruments.values()) {
+    ASSERT_TRUE(s.instruments.has(name)) << name;
+    const bool wall_timed = name.find("_us.") != std::string::npos &&
+                            name.find("_us.count") == std::string::npos;
+    if (!wall_timed) {
+      EXPECT_EQ(value, s.instruments.get(name)) << name;
+    }
+  }
 }
 
 TEST(Integration, StorageRoadsConstantInRecords) {

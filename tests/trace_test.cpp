@@ -11,6 +11,7 @@
 #include <limits>
 #include <map>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -355,6 +356,76 @@ TEST(TraceEndToEnd, MaintenanceWavesFormTheirOwnTrees) {
     if (!tree.children(root).empty()) ++roots_with_children;
   }
   EXPECT_GT(roots_with_children, 0u);
+}
+
+// The admission queue is the one hand-off outside the event queue: a
+// query dequeued when another finishes must open its processing span in
+// its own tree, not in the finishing query's (cache on) and not as a
+// fresh root (cache off).
+TEST(TraceEndToEnd, QueuedQueriesKeepTheirOwnTrace) {
+  for (const bool cache : {false, true}) {
+    SCOPED_TRACE(cache ? "cache on" : "cache off");
+    auto params = traced_params(std::size_t{1} << 16);
+    params.seed = 7;
+    params.config.query_concurrency_limit = 1;
+    params.config.query_cache_enabled = cache;
+    Federation fed(params);
+    fed.add_servers(8);
+    seed_identifiable(fed, 8);
+    fed.start();
+    fed.stabilize();
+    fed.set_refresh_paused(true);
+
+    Query q;
+    q.add(Predicate::range(0, 0.0, 1.0));
+    const sim::NodeId start = 5;
+    std::vector<std::shared_ptr<core::RoadsClient>> clients;
+    for (int i = 0; i < 4; ++i) clients.push_back(fed.issue_query(q, start));
+    fed.advance(sim::seconds(5));
+
+    ASSERT_EQ(fed.trace()->dropped(), 0u);
+    const auto tree = obs::SpanTree::build(fed.trace()->events());
+    for (const auto& client : clients) {
+      ASSERT_TRUE(client->done());
+      EXPECT_TRUE(tree.orphans(client->span()).empty());
+      std::size_t start_procs = 0;
+      for (const auto* s : tree.trace_spans(client->span())) {
+        if (s->label == "proc" && s->node == start) ++start_procs;
+      }
+      EXPECT_EQ(start_procs, 1u) << "query trace " << client->span();
+    }
+  }
+}
+
+// A timer armed inside a handler runs in that handler's tree: the join
+// request to a dead server times out after 2 s, and the retry it sends
+// continues the join's trace instead of rooting a new one.
+TEST(TraceEndToEnd, JoinRetryAfterTimeoutStaysInTheJoinTrace) {
+  FederationParams params;
+  params.schema = record::Schema::uniform_numeric(4);
+  params.seed = 7;
+  params.config.max_children = 2;
+  params.trace_capacity = std::size_t{1} << 16;
+  Federation fed(params);
+  fed.add_servers(3);
+  fed.server(1).fail();  // the joiner below gets steered here
+  fed.trace()->clear();
+  const auto joiner = fed.add_server().id();
+
+  std::set<std::uint64_t> traces;
+  std::size_t sends = 0;
+  bool lost_at_dead_server = false;  // the request that had to time out
+  for (const auto& ev : fed.trace()->events_of(obs::TraceKind::kSend)) {
+    if (ev.node != joiner || ev.label != "control") continue;
+    ++sends;
+    traces.insert(ev.trace);
+  }
+  for (const auto& ev : fed.trace()->events_of(obs::TraceKind::kDrop)) {
+    lost_at_dead_server |= ev.node == joiner && ev.peer == 1;
+  }
+  ASSERT_TRUE(lost_at_dead_server);
+  ASSERT_GE(sends, 3u);  // request, request to the dead server, retry
+  EXPECT_EQ(traces.size(), 1u);
 }
 
 TEST(ChromeExport, FederationDumpIsValidAndWellOrdered) {
