@@ -3,12 +3,14 @@
 // A server's reply to a query is a pure function of (query, mode,
 // client scope/principal/collect flag) and the summary state the
 // evaluation reads: its own store, the summary-only attachments, the
-// child branch summaries and the overlay replicas. PR 2's FNV content
-// digests make that state cheap to fingerprint, so a cached reply is
-// keyed on (query digest, folded state stamp) and any push, sweep or
-// record mutation that moves a digest silently invalidates exactly the
-// affected entries — stale keys simply stop matching and age out of
-// the LRU (lazy invalidation; no walk over entries is ever needed).
+// child branch summaries and the overlay replicas. The FNV content
+// digests make that state cheap to fingerprint: each summary memoizes
+// its digest, so the state stamp folds stored values and never rehashes
+// a slot. A cached reply is keyed on (query digest, folded state
+// stamp), and any push, sweep or record mutation that moves a digest
+// silently invalidates exactly the affected entries — stale keys simply
+// stop matching and age out of the LRU (lazy invalidation; no walk over
+// entries is ever needed).
 //
 // The result cache is bounded by entries AND bytes with LRU eviction
 // (a Zipf-heavy tail of one-off queries cannot grow it unboundedly);

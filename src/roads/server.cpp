@@ -352,16 +352,17 @@ SummaryPtr RoadsServer::compute_local_summary() {
 }
 
 SummaryPtr RoadsServer::compute_branch_summary() const {
-  summary::ResourceSummary branch =
-      local_summary_ ? *local_summary_
-                     : summary::ResourceSummary(schema_, config_.summary);
+  // A branch no live child summary merges into *is* the local summary
+  // (always a leaf's case): share it rather than copy every slot.
+  std::optional<summary::ResourceSummary> branch;
   for (const auto& [child, summary] : child_summaries_) {
-    if (summary && children_.has(child)) {
-      branch.merge(*summary);
-      summary_merges_.inc();
-    }
+    if (!summary || !children_.has(child)) continue;
+    if (!branch) branch = *local_summary_;
+    branch->merge(*summary);
+    summary_merges_.inc();
   }
-  return std::make_shared<const summary::ResourceSummary>(std::move(branch));
+  if (!branch) return local_summary_;
+  return std::make_shared<const summary::ResourceSummary>(std::move(*branch));
 }
 
 void RoadsServer::refresh_summaries() {
@@ -467,7 +468,7 @@ void RoadsServer::handle_replica(overlay::ReplicaSpec spec, SummaryPtr summary,
 void RoadsServer::push_replica_to_children(const overlay::ReplicaSpec& spec,
                                            const SummaryPtr& summary,
                                            bool keepalive) {
-  if (!summary) return;
+  if (!summary || children_.empty()) return;
   obs::ScopedProfCategory prof_tag(obs::ProfCategory::kReplicaCascade);
   const auto digest = summary->digest();
   for (const auto child : children_.ids()) {
@@ -1133,10 +1134,11 @@ std::uint64_t RoadsServer::cache_key(const RoadsClient& client,
 
 std::uint64_t RoadsServer::summary_state_stamp() const {
   if (state_stamp_dirty_) {
-    // The structural fold (child summaries + replicas) is the expensive
-    // part — ResourceSummary::digest() walks every slot — so it is
-    // cached behind the dirty flag. Keepalive pushes that re-deliver
-    // unchanged digests recompute the same fold: the cache stays warm.
+    // The structural fold walks every child summary and replica, so it
+    // is cached behind the dirty flag; each digest() it reads is a memo
+    // hit (the sender hashed the summary before pushing it). Keepalive
+    // pushes that re-deliver unchanged digests recompute the same fold:
+    // the cache stays warm.
     util::Fnv1a fold;
     for (const auto& [child, summary] : child_summaries_) {
       if (!summary || !children_.has(child)) continue;

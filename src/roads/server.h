@@ -176,6 +176,8 @@ class RoadsServer : public QueryTarget {
 
   void refresh_attachment_summaries(bool keepalive);
   SummaryPtr compute_local_summary();
+  /// local_summary_ merged with every live child's branch summary; the
+  /// local summary object itself when none merges in.
   SummaryPtr compute_branch_summary() const;
   void push_replica_to_children(const overlay::ReplicaSpec& spec,
                                 const SummaryPtr& summary, bool keepalive);
@@ -216,9 +218,9 @@ class RoadsServer : public QueryTarget {
   /// collect flag and the current summary-state stamp.
   std::uint64_t cache_key(const RoadsClient& client, QueryMode mode) const;
   /// Fingerprint of every input a query evaluation reads: live store +
-  /// owner-store versions plus the (dirty-flag cached) fold of child
-  /// summary digests and replica digests. Equal stamps => evaluation
-  /// would produce a byte-identical reply.
+  /// owner-store versions plus the (dirty-flag cached) fold of the
+  /// memoized child-summary and replica digests. Equal stamps =>
+  /// evaluation would produce a byte-identical reply.
   std::uint64_t summary_state_stamp() const;
   /// Marks the child-summary/replica fold stale (called at every
   /// mutation site of those structures).
@@ -341,8 +343,10 @@ class RoadsServer : public QueryTarget {
   std::deque<QueuedQuery> query_queue_;
   QueryResultCache query_cache_;
   NegativeCache negative_cache_;
-  /// Lazily recomputed fold of child-summary + replica digests; the
-  /// dirty flag flips at every mutation site of those structures.
+  /// Lazily recomputed fold of child-summary + replica digests. The
+  /// digests themselves are memoized, so the dirty flag only saves the
+  /// walk over children and replicas; it flips at every mutation site
+  /// of those structures and paces roads.query.cache.invalidate.
   mutable bool state_stamp_dirty_ = true;
   mutable std::uint64_t state_stamp_fold_ = 0;
 };

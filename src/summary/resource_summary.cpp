@@ -32,6 +32,7 @@ bool ResourceSummary::empty() const {
 }
 
 void ResourceSummary::add(const record::ResourceRecord& record) {
+  digest_memo_.reset();
   if (record.values().size() < slot_index_.size()) {
     throw std::invalid_argument("ResourceSummary: record too short for schema");
   }
@@ -43,6 +44,7 @@ void ResourceSummary::add(const record::ResourceRecord& record) {
 }
 
 void ResourceSummary::remove(const record::ResourceRecord& record) {
+  digest_memo_.reset();
   if (record_count_ == 0) {
     throw std::logic_error("ResourceSummary: remove from empty summary");
   }
@@ -56,6 +58,7 @@ void ResourceSummary::remove(const record::ResourceRecord& record) {
 std::vector<std::size_t> ResourceSummary::apply_delta(
     const std::vector<record::ResourceRecord>& added,
     const std::vector<record::ResourceRecord>& removed) {
+  digest_memo_.reset();
   for (const auto* batch : {&added, &removed}) {
     for (const auto& r : *batch) {
       if (r.values().size() < slot_index_.size()) {
@@ -88,6 +91,7 @@ std::vector<std::size_t> ResourceSummary::apply_delta(
 
 void ResourceSummary::replace_slot(std::size_t attribute,
                                    AttributeSummary slot) {
+  digest_memo_.reset();
   if (attribute >= slot_index_.size() ||
       slot_index_[attribute] == kNotSearchable) {
     throw std::out_of_range("ResourceSummary: attribute has no summary slot");
@@ -96,10 +100,14 @@ void ResourceSummary::replace_slot(std::size_t attribute,
 }
 
 std::uint64_t ResourceSummary::digest() const {
+  if (const auto memo = digest_memo_.get(); memo != DigestMemo::kNone) {
+    return memo;
+  }
   util::Fnv1a h;
   h.add(record_count_);
   h.add(static_cast<std::uint64_t>(slots_.size()));
   for (const auto& s : slots_) s.hash_into(h);
+  digest_memo_.set(h.value());
   return h.value();
 }
 
@@ -109,6 +117,7 @@ void ResourceSummary::merge(const ResourceSummary& other) {
     *this = other;
     return;
   }
+  digest_memo_.reset();
   if (slots_.size() != other.slots_.size()) {
     throw std::invalid_argument("ResourceSummary: schema mismatch in merge");
   }
@@ -119,6 +128,7 @@ void ResourceSummary::merge(const ResourceSummary& other) {
 }
 
 void ResourceSummary::clear() {
+  digest_memo_.reset();
   for (auto& s : slots_) s.clear();
   record_count_ = 0;
 }

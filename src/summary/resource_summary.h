@@ -7,6 +7,7 @@
 // dimension at once).
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <vector>
 
@@ -65,6 +66,9 @@ class ResourceSummary {
   /// 64-bit content digest over record count and every slot's payload:
   /// equal content gives equal digests, so the refresh protocol can
   /// suppress pushes of summaries that recomputed to the same state.
+  /// Memoized: the first call walks every slot, later calls return the
+  /// stored value until a mutator changes the content. Safe to call
+  /// concurrently on a summary no thread is mutating.
   std::uint64_t digest() const;
 
   /// Conservative query evaluation: true iff EVERY predicate matches its
@@ -86,6 +90,34 @@ class ResourceSummary {
   std::vector<std::size_t> slot_index_;
   std::vector<AttributeSummary> slots_;
   std::uint64_t record_count_ = 0;
+
+  /// digest()'s memo: the FNV value, or kNone while stale (a summary
+  /// whose digest happens to be kNone just rehashes on every call).
+  /// Copies and moves start stale, and assignment leaves the target
+  /// stale. Atomic because digest() is const and one shared summary is
+  /// hashed from several engine threads at once; relaxed ordering
+  /// suffices since the memo publishes nothing but its own value.
+  class DigestMemo {
+   public:
+    static constexpr std::uint64_t kNone = 0;
+    DigestMemo() = default;
+    DigestMemo(const DigestMemo&) noexcept {}
+    DigestMemo& operator=(const DigestMemo&) noexcept {
+      reset();
+      return *this;
+    }
+    std::uint64_t get() const {
+      return value_.load(std::memory_order_relaxed);
+    }
+    void set(std::uint64_t value) const {
+      value_.store(value, std::memory_order_relaxed);
+    }
+    void reset() { set(kNone); }
+
+   private:
+    mutable std::atomic<std::uint64_t> value_{kNone};
+  };
+  DigestMemo digest_memo_;
 };
 
 }  // namespace roads::summary

@@ -3,6 +3,7 @@
 // failure injection.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <stdexcept>
@@ -687,7 +688,9 @@ TEST(Sharded, StatsAndWatermarksAggregateAcrossShards) {
   sharded.pin_node(40, 3);
   EXPECT_EQ(sharded.shard_of(40), 3u);
 
-  int ran = 0;
+  // The shards of nodes 1 and 2 run these events in one parallel
+  // window, so the counter is shared across threads.
+  std::atomic<int> ran = 0;
   for (int i = 0; i < 3; ++i) {
     sharded.schedule_on_node(1, 10 + i, [&ran] { ++ran; });
   }

@@ -4,7 +4,11 @@
 // correctness rests on.
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <memory>
 #include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "record/query.h"
 #include "summary/attribute_summary.h"
@@ -575,6 +579,93 @@ TEST(ResourceSummary, DigestIndependentOfBuildPath) {
   const auto other =
       ResourceSummary::of_records(mixed_schema(), config, {r1, r2});
   EXPECT_NE(batch.digest(), other.digest());
+}
+
+// digest() is memoized, so every mutator must drop the memo: a summary
+// hashed before each step must still digest like a fresh twin built
+// from the same records that never called digest().
+TEST(ResourceSummary, DigestMemoFollowsEveryMutator) {
+  SummaryConfig config;
+  config.histogram_buckets = 20;
+  const auto schema = mixed_schema();
+  const auto r1 = mixed_record(1, "camera", 0.3);
+  const auto r2 = mixed_record(2, "sensor", 0.8);
+  const auto r3 = mixed_record(3, "camera", 0.55);
+  const auto twin = [&](const std::vector<record::ResourceRecord>& records) {
+    return ResourceSummary::of_records(schema, config, records).digest();
+  };
+
+  ResourceSummary s(schema, config);
+  (void)s.digest();
+  s.add(r1);
+  EXPECT_EQ(s.digest(), twin({r1})) << "add";
+  s.add(r2);
+  (void)s.digest();
+  s.remove(r1);
+  EXPECT_EQ(s.digest(), twin({r2})) << "remove";
+  s.merge(ResourceSummary::of_records(schema, config, {r3}));
+  EXPECT_EQ(s.digest(), twin({r2, r3})) << "merge";
+  EXPECT_TRUE(s.apply_delta({r1}, {}).empty());
+  EXPECT_EQ(s.digest(), twin({r1, r2, r3})) << "apply_delta";
+  AttributeSummary rate(schema.at(1), config);
+  rate.add(r3.value(1));
+  auto replaced = ResourceSummary::of_records(schema, config, {r1, r2, r3});
+  replaced.replace_slot(1, rate);
+  s.replace_slot(1, std::move(rate));
+  EXPECT_EQ(s.digest(), replaced.digest()) << "replace_slot";
+
+  // A copy of a warm summary, once mutated, digests its own content and
+  // leaves the source's digest alone.
+  const auto source = ResourceSummary::of_records(schema, config, {r1, r2});
+  const auto source_digest = source.digest();
+  ResourceSummary copy = source;
+  EXPECT_EQ(copy.digest(), source_digest);
+  copy.add(r3);
+  EXPECT_EQ(copy.digest(), twin({r1, r2, r3})) << "copy, then add";
+  EXPECT_EQ(source.digest(), source_digest);
+
+  // Assignment over a warm target takes the source's content.
+  const auto only_r2 = ResourceSummary::of_records(schema, config, {r2});
+  copy = only_r2;
+  EXPECT_EQ(copy.digest(), twin({r2})) << "copy assignment";
+  copy = ResourceSummary::of_records(schema, config, {r3});
+  EXPECT_EQ(copy.digest(), twin({r3})) << "move assignment";
+
+  copy.clear();
+  EXPECT_EQ(copy.digest(), twin({})) << "clear";
+}
+
+// digest() writes its memo from a const method on summaries shared
+// across engine threads: concurrent first calls must agree and be
+// race-free (run under TSan in CI).
+TEST(ResourceSummary, DigestFromConcurrentReaders) {
+  SummaryConfig config;
+  const auto schema = record::Schema::uniform_numeric(4);
+  util::Rng rng(5);
+  std::vector<record::ResourceRecord> records;
+  for (int i = 0; i < 200; ++i) {
+    records.emplace_back(
+        i, 1,
+        std::vector<AttributeValue>{
+            AttributeValue(rng.uniform01()), AttributeValue(rng.uniform01()),
+            AttributeValue(rng.uniform01()), AttributeValue(rng.uniform01())});
+  }
+  const auto twin = ResourceSummary::of_records(schema, config, records);
+  const auto shared = std::make_shared<const ResourceSummary>(
+      ResourceSummary::of_records(schema, config, records));
+
+  constexpr int kReaders = 4;
+  std::latch start(kReaders);
+  std::vector<std::uint64_t> seen(kReaders, 0);
+  std::vector<std::thread> readers;
+  for (int i = 0; i < kReaders; ++i) {
+    readers.emplace_back([&, i] {
+      start.arrive_and_wait();
+      seen[i] = shared->digest();
+    });
+  }
+  for (auto& t : readers) t.join();
+  for (const auto d : seen) EXPECT_EQ(d, twin.digest());
 }
 
 TEST(ResourceSummary, ApplyDeltaFlagsBloomSlotsForRebuild) {
