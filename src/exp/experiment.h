@@ -64,8 +64,6 @@ struct ExpConfig {
   /// disables suppression (every round pushes fully — the baseline
   /// series in the Fig. 4 bench).
   std::size_t summary_keepalive_rounds = 3;
-  /// Incremental (change-log-driven) summary refresh vs full recompute.
-  bool incremental_refresh = true;
   /// Run the `runs` repetitions of average_runs on a thread pool (each
   /// run owns its simulator and RNGs; results are reduced in seed order
   /// so the average is bit-identical to the serial path). Benches

@@ -12,7 +12,18 @@ void ChildTable::add(NodeId child, sim::Time now) {
   }
 }
 
-bool ChildTable::remove(NodeId child) { return entries_.erase(child) > 0; }
+bool ChildTable::remove(NodeId child) {
+  if (entries_.erase(child) == 0) return false;
+  if (summaries_.erase(child) > 0) ++summary_version_;
+  return true;
+}
+
+void ChildTable::clear() {
+  entries_.clear();
+  if (summaries_.empty()) return;
+  summaries_.clear();
+  ++summary_version_;
+}
 
 void ChildTable::update_stats(NodeId child, const BranchStats& stats) {
   auto it = entries_.find(child);
@@ -26,10 +37,13 @@ void ChildTable::update_heartbeat(NodeId child, sim::Time now) {
   it->second.last_heartbeat = now;
 }
 
-void ChildTable::update_summary(NodeId child, sim::Time now) {
+void ChildTable::set_summary(NodeId child, SummaryPtr summary,
+                             sim::Time now) {
   auto it = entries_.find(child);
   if (it == entries_.end()) return;
   it->second.last_summary = now;
+  summaries_[child] = std::move(summary);
+  ++summary_version_;
 }
 
 void ChildTable::touch_all(sim::Time now) {

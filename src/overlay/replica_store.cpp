@@ -18,6 +18,7 @@ void ReplicaStore::put(const ReplicaSpec& spec, SummaryPtr summary,
   slot.spec = spec;
   slot.summary = std::move(summary);
   slot.received_at = now;
+  ++version_;
 }
 
 const Replica* ReplicaStore::find(NodeId origin, SummaryKind kind) const {
@@ -27,13 +28,6 @@ const Replica* ReplicaStore::find(NodeId origin, SummaryKind kind) const {
 
 bool ReplicaStore::has(NodeId origin, SummaryKind kind) const {
   return find(origin, kind) != nullptr;
-}
-
-std::size_t ReplicaStore::erase_origin(NodeId origin) {
-  std::size_t removed = 0;
-  removed += replicas_.erase({origin, SummaryKind::kBranch});
-  removed += replicas_.erase({origin, SummaryKind::kLocal});
-  return removed;
 }
 
 std::size_t ReplicaStore::sweep(sim::Time now) {
@@ -46,7 +40,14 @@ std::size_t ReplicaStore::sweep(sim::Time now) {
       ++it;
     }
   }
+  if (removed > 0) ++version_;
   return removed;
+}
+
+void ReplicaStore::clear() {
+  if (replicas_.empty()) return;
+  replicas_.clear();
+  ++version_;
 }
 
 std::vector<const Replica*> ReplicaStore::all() const {

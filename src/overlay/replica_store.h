@@ -5,7 +5,9 @@
 // than attracting queries forever. Payloads are shared immutable
 // objects — many servers hold the same origin's summary, so sharing
 // keeps simulation memory proportional to the number of distinct
-// summaries, not replicas.
+// summaries, not replicas. version() moves in every mutator that
+// changes the held replicas, so a reader caching something derived
+// from them (the server's query-cache stamp) needs no other signal.
 #pragma once
 
 #include <cstdint>
@@ -46,15 +48,14 @@ class ReplicaStore {
   const Replica* find(NodeId origin, SummaryKind kind) const;
   bool has(NodeId origin, SummaryKind kind) const;
 
-  /// Drops every replica originated by `origin` (both kinds), e.g. when
-  /// the origin is known to have left. Returns how many were removed.
-  std::size_t erase_origin(NodeId origin);
-
   /// Removes replicas older than now - ttl; returns how many expired.
   std::size_t sweep(sim::Time now);
 
   /// Drops everything (a crashed server loses its soft state).
-  void clear() { replicas_.clear(); }
+  void clear();
+
+  /// Moves whenever a replica is inserted, refreshed or removed.
+  std::uint64_t version() const { return version_; }
 
   /// All live replicas in deterministic (origin, kind) order.
   std::vector<const Replica*> all() const;
@@ -81,6 +82,7 @@ class ReplicaStore {
   using Key = std::pair<NodeId, SummaryKind>;
   sim::Time ttl_;
   std::map<Key, Replica> replicas_;
+  std::uint64_t version_ = 0;
   obs::Histogram* put_us_ = nullptr;
   obs::Histogram* match_us_ = nullptr;
 };

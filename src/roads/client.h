@@ -92,12 +92,14 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   /// Redirect reply: follow-up targets, how many records matched
   /// locally, and whether a result transfer will follow.
   void on_reply(sim::NodeId server,
-                std::vector<std::pair<sim::NodeId, QueryMode>> targets,
+                const std::vector<std::pair<sim::NodeId, QueryMode>>& targets,
                 std::size_t local_matches, bool results_pending);
 
-  /// A result batch arrived from `server`.
+  /// A result batch arrived from `server`. Only the first batch from a
+  /// server counts: a duplicated query or result message delivers the
+  /// same batch again.
   void on_results(sim::NodeId server,
-                  std::vector<record::ResourceRecord> records);
+                  const std::vector<record::ResourceRecord>& records);
 
   /// `server` shed the query (admission-control overload reply). The
   /// client stops waiting on it, like a timeout but explicit and

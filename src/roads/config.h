@@ -45,12 +45,6 @@ struct RoadsConfig {
   /// protocol and the ablation baseline).
   std::size_t summary_keepalive_rounds = 3;
 
-  /// Incremental summary refresh: each server maintains its store
-  /// summary from the store's change log (O(changed records) per
-  /// round) instead of re-scanning every record. Off restores the full
-  /// recompute for A/B measurement.
-  bool incremental_refresh = true;
-
   /// Replication overlay (§III-C). When disabled, servers keep only
   /// child summaries, queries must start at the root, and the root is
   /// again a bottleneck — the ablation baseline.

@@ -48,8 +48,8 @@ class Federation::OwnerAgent : public QueryTarget {
                &network]() mutable {
                 network.send(node, client->location(), msg::results(bytes),
                              sim::Channel::kResult,
-                             [client, node, records = std::move(records)]() mutable {
-                               client->on_results(node, std::move(records));
+                             [client, node, records = std::move(records)] {
+                               client->on_results(node, records);
                              });
               });
         });

@@ -115,7 +115,8 @@ class Federation : public Directory {
   /// server's machine; remote ones get their own point in the delay
   /// space and answer summary-mode queries themselves. The returned
   /// owner's store starts empty — fill it, then call attach_owner on
-  /// the server (or use this overload's auto-attach).
+  /// the server yourself: nothing attaches it automatically, and
+  /// `mode` is unused (attach_owner takes the export mode).
   std::shared_ptr<ResourceOwner> add_owner(sim::NodeId attach_to,
                                            ExportMode mode,
                                            bool colocated = true);

@@ -9,17 +9,17 @@ std::shared_ptr<const CachedReply> QueryResultCache::find(std::uint64_t key) {
   return it->second->reply;
 }
 
-std::size_t QueryResultCache::insert(std::uint64_t key, CachedReply reply) {
+std::size_t QueryResultCache::insert(std::uint64_t key,
+                                     std::shared_ptr<const CachedReply> reply) {
   if (max_entries_ == 0 || max_bytes_ == 0) return 0;
-  auto shared = std::make_shared<const CachedReply>(std::move(reply));
   const auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_ -= it->second->reply->bytes();
-    it->second->reply = std::move(shared);
+    it->second->reply = std::move(reply);
     bytes_ += it->second->reply->bytes();
     lru_.splice(lru_.begin(), lru_, it->second);
   } else {
-    lru_.push_front(Entry{key, std::move(shared)});
+    lru_.push_front(Entry{key, std::move(reply)});
     bytes_ += lru_.front().reply->bytes();
     index_[key] = lru_.begin();
   }

@@ -6,7 +6,9 @@
 // child branch summaries and the overlay replicas. The FNV content
 // digests make that state cheap to fingerprint: each summary memoizes
 // its digest, so the state stamp folds stored values and never rehashes
-// a slot. A cached reply is keyed on (query digest, folded state
+// a slot. The child table and the replica store version their own
+// contents, and the server refolds their digests only when a version
+// has moved. A cached reply is keyed on (query digest, folded state
 // stamp), and any push, sweep or record mutation that moves a digest
 // silently invalidates exactly the affected entries — stale keys simply
 // stop matching and age out of the LRU (lazy invalidation; no walk over
@@ -36,8 +38,9 @@ namespace roads::core {
 /// Everything a server computes for one query after admission: the
 /// redirect target list, local match accounting, and (collect mode)
 /// the matching records plus their precomputed retrieval service time.
-/// Serving a CachedReply re-plays the counters the cold evaluation
-/// would have bumped (false positive, overlay shortcuts).
+/// The evaluation builds it once; the cache stores that same object,
+/// and every send of it, cold or cached, bumps the counters it names
+/// (false positive, overlay shortcuts).
 struct CachedReply {
   std::vector<std::pair<sim::NodeId, QueryMode>> targets;
   std::size_t local_matches = 0;
@@ -71,7 +74,8 @@ class QueryResultCache {
 
   /// Inserts (or replaces) `key`, then evicts least-recently-used
   /// entries until both bounds hold. Returns how many were evicted.
-  std::size_t insert(std::uint64_t key, CachedReply reply);
+  std::size_t insert(std::uint64_t key,
+                     std::shared_ptr<const CachedReply> reply);
 
   std::size_t size() const { return lru_.size(); }
   std::uint64_t bytes() const { return bytes_; }

@@ -199,7 +199,6 @@ void RoadsServer::restart(sim::NodeId seed) {
   parent_.reset();
   root_path_ = hierarchy::RootPath({id_});
   children_.clear();
-  child_summaries_.clear();
   pushed_digests_.clear();
   parent_push_digest_.reset();
   last_pushed_stats_ = hierarchy::BranchStats{};
@@ -213,7 +212,6 @@ void RoadsServer::restart(sim::NodeId seed) {
   active_queries_ = 0;
   query_cache_.clear();
   negative_cache_.clear();
-  state_stamp_dirty_ = true;
 
   alive_ = true;
   ++life_epoch_;
@@ -331,17 +329,12 @@ void RoadsServer::refresh_attachment_summaries(bool keepalive) {
 }
 
 SummaryPtr RoadsServer::compute_local_summary() {
-  summary::ResourceSummary local;
-  if (config_.incremental_refresh) {
-    const auto refresh = store_.refresh_summary(store_summary_,
-                                                config_.summary);
-    if (refresh.unchanged) summary_refresh_skipped_.inc();
-    if (refresh.full_rebuild) summary_full_rebuilds_.inc();
-    if (refresh.delta_slots > 0) summary_delta_slots_.inc(refresh.delta_slots);
-    local = store_summary_;  // copy: attachment merges must not pollute it
-  } else {
-    local = store_.summarize(config_.summary);
-  }
+  const auto refresh = store_.refresh_summary(store_summary_, config_.summary);
+  if (refresh.unchanged) summary_refresh_skipped_.inc();
+  if (refresh.full_rebuild) summary_full_rebuilds_.inc();
+  if (refresh.delta_slots > 0) summary_delta_slots_.inc(refresh.delta_slots);
+  // Copy: attachment merges must not pollute the store summary.
+  summary::ResourceSummary local = store_summary_;
   for (const auto& att : attachments_) {
     if (att.mode == ExportMode::kSummaryOnly && att.summary) {
       local.merge(*att.summary);
@@ -352,11 +345,11 @@ SummaryPtr RoadsServer::compute_local_summary() {
 }
 
 SummaryPtr RoadsServer::compute_branch_summary() const {
-  // A branch no live child summary merges into *is* the local summary
+  // A branch no child summary merges into *is* the local summary
   // (always a leaf's case): share it rather than copy every slot.
   std::optional<summary::ResourceSummary> branch;
-  for (const auto& [child, summary] : child_summaries_) {
-    if (!summary || !children_.has(child)) continue;
+  for (const auto& [child, summary] : children_.summaries()) {
+    if (!summary) continue;
     if (!branch) branch = *local_summary_;
     branch->merge(*summary);
     summary_merges_.inc();
@@ -420,9 +413,7 @@ void RoadsServer::handle_child_summary(sim::NodeId child,
   if (!children_.has(child)) return;  // stale update from a removed child
   children_.update_stats(child, stats);
   children_.update_heartbeat(child, network_.simulator().now());
-  children_.update_summary(child, network_.simulator().now());
-  child_summaries_[child] = branch;
-  mark_summary_state_dirty();
+  children_.set_summary(child, branch, network_.simulator().now());
   forward_child_summary_to_siblings(child, branch, keepalive);
   push_stats_up();
 }
@@ -453,7 +444,6 @@ void RoadsServer::forward_child_summary_to_siblings(sim::NodeId child,
 void RoadsServer::handle_replica(overlay::ReplicaSpec spec, SummaryPtr summary,
                                  bool keepalive) {
   replicas_.put(spec, summary, network_.simulator().now());
-  mark_summary_state_dirty();
   // Cascade down; a sibling of my parent-level sender becomes an
   // ancestor-sibling for my descendants, one level further from their
   // common ancestor.
@@ -498,7 +488,7 @@ bool RoadsServer::note_push(sim::NodeId dest, sim::NodeId origin,
 
 std::uint64_t RoadsServer::stored_summary_bytes() const {
   std::uint64_t total = replicas_.stored_bytes();
-  for (const auto& [_, s] : child_summaries_) {
+  for (const auto& [_, s] : children_.summaries()) {
     if (s) total += s->wire_size();
   }
   if (local_summary_) total += local_summary_->wire_size();
@@ -733,9 +723,7 @@ void RoadsServer::on_failure_check_timer() {
     heartbeat_misses_.inc();
     trace_event(obs::TraceKind::kHeartbeatMiss, child);
     children_.remove(child);
-    child_summaries_.erase(child);
     pushed_digests_.erase(child);
-    mark_summary_state_dirty();
     push_stats_up();
   }
 
@@ -762,7 +750,7 @@ void RoadsServer::on_failure_check_timer() {
     send_join_request(join_.current);
   }
 
-  if (replicas_.sweep(now) > 0) mark_summary_state_dirty();
+  replicas_.sweep(now);
 }
 
 void RoadsServer::parent_lost() {
@@ -838,9 +826,7 @@ void RoadsServer::parent_lost() {
 void RoadsServer::handle_leave_from_child(sim::NodeId child) {
   if (!children_.has(child)) return;
   children_.remove(child);
-  child_summaries_.erase(child);
   pushed_digests_.erase(child);
-  mark_summary_state_dirty();
   push_stats_up();
 }
 
@@ -912,7 +898,7 @@ void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
       // source of the cache's sustainable-QPS win.
       network_.defer(id_, config_.query_cache_hit_delay, "proc",
                      [this, client, entry = std::move(entry)] {
-                       serve_cached(client, entry);
+                       send_reply(client, entry);
                        finish_query();
                      });
       return;
@@ -929,14 +915,14 @@ void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
 void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
                                  QueryMode mode) {
   const auto& q = client->query();
-  std::vector<std::pair<sim::NodeId, QueryMode>> targets;
-  std::uint64_t shortcut_hits = 0;
+  auto reply = std::make_shared<CachedReply>();
+  auto& targets = reply->targets;
 
   // Local data: this server's own store...
   store::QueryStats stats{};
   const auto local_ids = store_.query(q, &stats);
   std::size_t local_matches = local_ids.size();
-  std::vector<record::ResourceRecord> local_records;
+  auto& local_records = reply->records;
   if (client->collect_results()) {
     local_records.reserve(local_ids.size());
     for (const auto rid : local_ids) {
@@ -964,8 +950,8 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
 
   // Branch descent through matching children (§III-B).
   if (mode != QueryMode::kLocalOnly) {
-    for (const auto& [child, summary] : child_summaries_) {
-      if (summary && children_.has(child) && summary->matches(q)) {
+    for (const auto& [child, summary] : children_.summaries()) {
+      if (summary && summary->matches(q)) {
         targets.emplace_back(child, QueryMode::kBranch);
       }
     }
@@ -982,16 +968,14 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
       if (r->spec.role != overlay::ReplicaRole::kAncestor &&
           r->spec.levels_up <= scope) {
         targets.emplace_back(r->spec.origin, QueryMode::kBranch);
-        overlay_shortcut_hits_.inc();
-        ++shortcut_hits;
+        ++reply->shortcut_hits;
       }
     }
     for (const auto* r : replicas_.matching(q, overlay::SummaryKind::kLocal)) {
       if (r->spec.role == overlay::ReplicaRole::kAncestor &&
           r->spec.levels_up <= scope) {
         targets.emplace_back(r->spec.origin, QueryMode::kLocalOnly);
-        overlay_shortcut_hits_.inc();
-        ++shortcut_hits;
+        ++reply->shortcut_hits;
       }
     }
   }
@@ -999,24 +983,15 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   // A summary somewhere matched this query and steered it here,
   // yet the server has nothing and nowhere further to send it —
   // the false-positive redirect cost of approximate summaries.
-  const bool false_positive =
+  reply->false_positive =
       mode != QueryMode::kStart && local_matches == 0 && targets.empty();
-  if (false_positive) {
-    query_false_positives_.inc();
-    // Pinned to the processing span: the critical-path analyzer
-    // marks the transit that fed this hop as detour time.
-    trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
-                obs::current_trace_context().span);
-  }
-
-  const bool results_pending = client->collect_results() && local_matches > 0;
-  std::uint64_t record_bytes = 0;
-  sim::Time service = 0;
-  if (results_pending) {
-    for (const auto& r : local_records) record_bytes += r.wire_size();
+  reply->local_matches = local_matches;
+  reply->results_pending = client->collect_results() && local_matches > 0;
+  if (reply->results_pending) {
+    for (const auto& r : local_records) reply->record_bytes += r.wire_size();
     stats.matches = local_records.size();
-    service =
-        store::service_time_us(config_.service_model, stats, record_bytes);
+    reply->service_us = store::service_time_us(config_.service_model, stats,
+                                               reply->record_bytes);
   }
 
   // Cache fill, keyed by the state stamp AT EVALUATION TIME (the state
@@ -1024,76 +999,44 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   // sat in the processing delay keys the entry to the new state).
   if (config_.query_cache_enabled) {
     const auto key = cache_key(*client, mode);
-    if (false_positive) {
+    if (reply->false_positive) {
       negative_cache_.insert(key, network_.simulator().now());
     }
-    CachedReply entry;
-    entry.targets = targets;
-    entry.local_matches = local_matches;
-    entry.results_pending = results_pending;
-    entry.records = local_records;
-    entry.record_bytes = record_bytes;
-    entry.service_us = service;
-    entry.false_positive = false_positive;
-    entry.shortcut_hits = shortcut_hits;
-    const auto evicted = query_cache_.insert(key, std::move(entry));
+    const auto evicted = query_cache_.insert(key, reply);
     if (evicted > 0) cache_evicted_.inc(evicted);
   }
-
-  // Size the reply before the capture moves the target list out.
-  const auto reply_bytes = msg::redirect_reply(targets.size());
-  network_.send(id_, client->location(), reply_bytes, sim::Channel::kQuery,
-                [client, server = id_, targets = std::move(targets),
-                 local_matches, results_pending]() mutable {
-                  client->on_reply(server, std::move(targets), local_matches,
-                                   results_pending);
-                });
-
-  if (results_pending) {
-    // Retrieval time is its own span (child of proc) so response
-    // critical paths separate evaluation from service delay.
-    network_.defer(id_, service, "service",
-                   [this, client, record_bytes,
-                    records = std::move(local_records)]() mutable {
-                     network_.send(id_, client->location(),
-                                   msg::results(record_bytes),
-                                   sim::Channel::kResult,
-                                   [client, server = id_,
-                                    records = std::move(records)]() mutable {
-                                     client->on_results(server,
-                                                        std::move(records));
-                                   });
-                   });
-  }
+  send_reply(client, std::move(reply));
 }
 
-void RoadsServer::serve_cached(const std::shared_ptr<RoadsClient>& client,
-                               const std::shared_ptr<const CachedReply>& entry) {
-  // Replay the accounting the cold evaluation would have produced, so
-  // the §V meters (fp rate, shortcut usage) are cache-transparent.
-  if (entry->false_positive) {
+void RoadsServer::send_reply(const std::shared_ptr<RoadsClient>& client,
+                             std::shared_ptr<const CachedReply> reply) {
+  // Every serve bumps the §V meters (fp rate, shortcut usage), so they
+  // read the same whether the reply was evaluated or cached.
+  if (reply->false_positive) {
     query_false_positives_.inc();
+    // Pinned to the processing span: the critical-path analyzer
+    // marks the transit that fed this hop as detour time.
     trace_event(obs::TraceKind::kQueryFalsePositive, client->location(), 0.0,
                 obs::current_trace_context().span);
   }
-  if (entry->shortcut_hits > 0) overlay_shortcut_hits_.inc(entry->shortcut_hits);
+  if (reply->shortcut_hits > 0) overlay_shortcut_hits_.inc(reply->shortcut_hits);
 
   network_.send(id_, client->location(),
-                msg::redirect_reply(entry->targets.size()), sim::Channel::kQuery,
-                [client, server = id_, entry] {
-                  client->on_reply(server, entry->targets,
-                                   entry->local_matches,
-                                   entry->results_pending);
+                msg::redirect_reply(reply->targets.size()), sim::Channel::kQuery,
+                [client, server = id_, reply] {
+                  client->on_reply(server, reply->targets, reply->local_matches,
+                                   reply->results_pending);
                 });
 
-  if (entry->results_pending) {
-    network_.defer(id_, entry->service_us, "service", [this, client, entry] {
-      network_.send(id_, client->location(), msg::results(entry->record_bytes),
-                    sim::Channel::kResult, [client, server = id_, entry] {
-                      client->on_results(server, entry->records);
-                    });
-    });
-  }
+  if (!reply->results_pending) return;
+  // Retrieval time is its own span (child of proc) so response
+  // critical paths separate evaluation from service delay.
+  network_.defer(id_, reply->service_us, "service", [this, client, reply] {
+    network_.send(id_, client->location(), msg::results(reply->record_bytes),
+                  sim::Channel::kResult, [client, server = id_, reply] {
+                    client->on_results(server, reply->records);
+                  });
+  });
 }
 
 void RoadsServer::finish_query() {
@@ -1133,15 +1076,18 @@ std::uint64_t RoadsServer::cache_key(const RoadsClient& client,
 }
 
 std::uint64_t RoadsServer::summary_state_stamp() const {
-  if (state_stamp_dirty_) {
+  const auto child_version = children_.summary_version();
+  const auto replica_version = replicas_.version();
+  if (child_version != stamp_child_version_ ||
+      replica_version != stamp_replica_version_) {
     // The structural fold walks every child summary and replica, so it
-    // is cached behind the dirty flag; each digest() it reads is a memo
-    // hit (the sender hashed the summary before pushing it). Keepalive
-    // pushes that re-deliver unchanged digests recompute the same fold:
-    // the cache stays warm.
+    // is kept until the child table or the replica store reports a
+    // change; each digest() it reads is a memo hit (the sender hashed
+    // the summary before pushing it). Keepalive pushes that re-deliver
+    // unchanged digests recompute the same fold: the cache stays warm.
     util::Fnv1a fold;
-    for (const auto& [child, summary] : child_summaries_) {
-      if (!summary || !children_.has(child)) continue;
+    for (const auto& [child, summary] : children_.summaries()) {
+      if (!summary) continue;
       fold.add(static_cast<std::uint64_t>(child));
       fold.add(summary->digest());
     }
@@ -1153,7 +1099,11 @@ std::uint64_t RoadsServer::summary_state_stamp() const {
       if (r->summary) fold.add(r->summary->digest());
     }
     state_stamp_fold_ = fold.value();
-    state_stamp_dirty_ = false;
+    stamp_child_version_ = child_version;
+    stamp_replica_version_ = replica_version;
+    // An upper bound on entries actually invalidated: an unchanged-
+    // digest push refolds to the same value.
+    cache_invalidates_.inc();
   }
   // Live versions are folded fresh on every lookup: record mutations —
   // including out-of-band ones a staleness attack performs directly on
@@ -1168,15 +1118,6 @@ std::uint64_t RoadsServer::summary_state_stamp() const {
     h.add(att.exported_digest);
   }
   return h.value();
-}
-
-void RoadsServer::mark_summary_state_dirty() {
-  if (state_stamp_dirty_) return;
-  state_stamp_dirty_ = true;
-  // Counts state transitions that (may) invalidate cached replies; an
-  // upper bound on actual entry invalidation since an unchanged-digest
-  // push recomputes an identical fold.
-  if (config_.query_cache_enabled) cache_invalidates_.inc();
 }
 
 }  // namespace roads::core

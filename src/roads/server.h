@@ -40,6 +40,7 @@
 #include "sim/network.h"
 #include "store/record_store.h"
 #include "summary/resource_summary.h"
+#include "util/hash.h"
 #include "util/unique_function.h"
 #include "util/rng.h"
 
@@ -100,9 +101,9 @@ class RoadsServer : public QueryTarget {
   const store::RecordStore& local_store() const { return store_; }
 
   // --- Summary protocol ----------------------------------------------------
-  /// Recomputes local + branch summaries (incrementally when the config
-  /// allows), sends the branch summary to the parent, pushes own
-  /// summaries and stored child summaries to children. Pushes whose
+  /// Recomputes local (incrementally, from the store's change log) and
+  /// branch summaries, sends the branch summary to the parent, pushes
+  /// own summaries and stored child summaries to children. Pushes whose
   /// content digest matches the last one sent are suppressed except on
   /// keepalive rounds. Runs on the ts timer; tests may call it
   /// directly.
@@ -121,7 +122,7 @@ class RoadsServer : public QueryTarget {
   const overlay::ReplicaStore& replicas() const { return replicas_; }
   /// Branch summaries received from children (origin -> summary).
   const std::map<sim::NodeId, SummaryPtr>& child_summaries() const {
-    return child_summaries_;
+    return children_.summaries();
   }
 
   /// Total bytes of summary state held (children + replicas + own) —
@@ -176,7 +177,7 @@ class RoadsServer : public QueryTarget {
 
   void refresh_attachment_summaries(bool keepalive);
   SummaryPtr compute_local_summary();
-  /// local_summary_ merged with every live child's branch summary; the
+  /// local_summary_ merged with every child's branch summary; the
   /// local summary object itself when none merges in.
   SummaryPtr compute_branch_summary() const;
   void push_replica_to_children(const overlay::ReplicaSpec& spec,
@@ -203,13 +204,15 @@ class RoadsServer : public QueryTarget {
   /// delay.
   void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode);
   /// The cold evaluation (local store + attachments + child summaries +
-  /// overlay shortcuts), reply send, and cache fill. Runs inside the
+  /// overlay shortcuts), cache fill, and reply send. Runs inside the
   /// processing-delay event under its `proc` span.
   void evaluate_query(const std::shared_ptr<RoadsClient>& client,
                       QueryMode mode);
-  /// Replays a cached reply (counters, redirect reply, result batch).
-  void serve_cached(const std::shared_ptr<RoadsClient>& client,
-                    const std::shared_ptr<const CachedReply>& entry);
+  /// Sends a reply, cold or cached: bumps the false-positive and
+  /// shortcut meters it names, sends the redirect reply, and ships the
+  /// result batch after its service time.
+  void send_reply(const std::shared_ptr<RoadsClient>& client,
+                  std::shared_ptr<const CachedReply> reply);
   /// Releases an evaluation slot and admits the next queued query.
   void finish_query();
   /// Sheds `client` with an immediate overload reply.
@@ -218,13 +221,11 @@ class RoadsServer : public QueryTarget {
   /// collect flag and the current summary-state stamp.
   std::uint64_t cache_key(const RoadsClient& client, QueryMode mode) const;
   /// Fingerprint of every input a query evaluation reads: live store +
-  /// owner-store versions plus the (dirty-flag cached) fold of the
-  /// memoized child-summary and replica digests. Equal stamps =>
-  /// evaluation would produce a byte-identical reply.
+  /// owner-store versions plus the fold of the memoized child-summary
+  /// and replica digests, refolded only when the child table's or the
+  /// replica store's version has moved. Equal stamps => evaluation
+  /// would produce a byte-identical reply.
   std::uint64_t summary_state_stamp() const;
-  /// Marks the child-summary/replica fold stale (called at every
-  /// mutation site of those structures).
-  void mark_summary_state_dirty();
 
   /// Sends a protocol message to `to`; `deliver(peer)` runs at the
   /// receiving server if it is alive at delivery time. Templated so
@@ -263,7 +264,6 @@ class RoadsServer : public QueryTarget {
   std::optional<sim::NodeId> parent_;
   hierarchy::RootPath root_path_;
   hierarchy::ChildTable children_;
-  std::map<sim::NodeId, SummaryPtr> child_summaries_;
   hierarchy::BranchStats last_pushed_stats_;
 
   // Federation-wide instruments, shared by every server through the
@@ -343,12 +343,14 @@ class RoadsServer : public QueryTarget {
   std::deque<QueuedQuery> query_queue_;
   QueryResultCache query_cache_;
   NegativeCache negative_cache_;
-  /// Lazily recomputed fold of child-summary + replica digests. The
-  /// digests themselves are memoized, so the dirty flag only saves the
-  /// walk over children and replicas; it flips at every mutation site
-  /// of those structures and paces roads.query.cache.invalidate.
-  mutable bool state_stamp_dirty_ = true;
-  mutable std::uint64_t state_stamp_fold_ = 0;
+  /// Fold of child-summary + replica digests and the container
+  /// versions it was taken at (the empty fold at version 0). The
+  /// digests are memoized, so the fold only saves the walk over
+  /// children and replicas; each refold counts as
+  /// roads.query.cache.invalidate.
+  mutable std::uint64_t state_stamp_fold_ = util::Fnv1a{}.value();
+  mutable std::uint64_t stamp_child_version_ = 0;
+  mutable std::uint64_t stamp_replica_version_ = 0;
 };
 
 }  // namespace roads::core

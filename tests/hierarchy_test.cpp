@@ -2,6 +2,7 @@
 // root paths, the join steering policy, and topology snapshots.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <stdexcept>
 
 #include "hierarchy/branch_stats.h"
@@ -9,6 +10,7 @@
 #include "hierarchy/join_policy.h"
 #include "hierarchy/root_path.h"
 #include "hierarchy/topology.h"
+#include "summary/resource_summary.h"
 #include "util/rng.h"
 
 namespace roads::hierarchy {
@@ -68,6 +70,59 @@ TEST(ChildTable, ExpiredChildren) {
   table.add(2, 500);
   EXPECT_EQ(table.expired(300), (std::vector<sim::NodeId>{1}));
   EXPECT_TRUE(table.expired(50).empty());
+}
+
+// The server's query-cache stamp trusts summary_version() to move on
+// every change to summaries() and on nothing else.
+TEST(ChildTable, SummaryVersionMovesExactlyWhenSummariesChange) {
+  ChildTable table;
+  auto seen = table.summary_version();
+  const auto moved = [&] {
+    const bool changed = table.summary_version() != seen;
+    seen = table.summary_version();
+    return changed;
+  };
+  const auto summary = std::make_shared<const summary::ResourceSummary>();
+  table.add(1, 0);
+  table.add(2, 0);
+  table.add(3, 0);
+  table.update_stats(1, BranchStats{2, 3});
+  table.update_heartbeat(1, 5);
+  table.touch_all(6);
+  EXPECT_FALSE(moved()) << "add and non-summary updates";
+
+  table.set_summary(1, summary, 10);
+  EXPECT_TRUE(moved()) << "set_summary adding";
+  EXPECT_EQ(table.summaries().at(1), summary);
+  EXPECT_EQ(table.entry(1).last_summary, 10);
+  table.set_summary(1, summary, 20);
+  EXPECT_TRUE(moved()) << "set_summary replacing";
+  table.set_summary(9, summary, 20);
+  EXPECT_FALSE(moved()) << "set_summary for an unknown child";
+  EXPECT_EQ(table.summaries().count(9), 0u);
+
+  (void)table.ids();
+  (void)table.aggregate();
+  (void)table.expired(100);
+  (void)table.summary_ages(30);
+  EXPECT_EQ(table.summaries().size(), 1u);
+  EXPECT_FALSE(moved()) << "reads";
+
+  EXPECT_FALSE(table.remove(7));
+  EXPECT_FALSE(moved()) << "remove of an absent child";
+  EXPECT_TRUE(table.remove(3));
+  EXPECT_FALSE(moved()) << "remove of a child that never sent a summary";
+  EXPECT_TRUE(table.remove(1));
+  EXPECT_TRUE(moved()) << "remove dropping a summary";
+  EXPECT_EQ(table.summaries().count(1), 0u) << "remove kept the summary";
+
+  table.set_summary(2, summary, 30);
+  EXPECT_TRUE(moved());
+  table.clear();
+  EXPECT_TRUE(moved()) << "clear";
+  EXPECT_TRUE(table.summaries().empty());
+  table.clear();
+  EXPECT_FALSE(moved()) << "clear of an empty table";
 }
 
 TEST(ChildTable, AggregateUsesChildStats) {

@@ -159,14 +159,45 @@ TEST(ReplicaStore, SweepExpiresStaleReplicas) {
   EXPECT_TRUE(store.has(2, SummaryKind::kBranch));
 }
 
-TEST(ReplicaStore, EraseOriginRemovesBothKinds) {
-  ReplicaStore store(100);
-  store.put({3, SummaryKind::kBranch, ReplicaRole::kAncestor},
-            std::make_shared<summary::ResourceSummary>(make_summary(0.2)), 0);
-  store.put({3, SummaryKind::kLocal, ReplicaRole::kAncestor},
-            std::make_shared<summary::ResourceSummary>(make_summary(0.2)), 0);
-  EXPECT_EQ(store.erase_origin(3), 2u);
-  EXPECT_EQ(store.size(), 0u);
+// The server's query-cache stamp trusts version() to move on every
+// change to the held replicas and on nothing else.
+TEST(ReplicaStore, VersionMovesExactlyWhenReplicasChange) {
+  ReplicaStore store(/*ttl=*/100);
+  auto seen = store.version();
+  const auto moved = [&] {
+    const bool changed = store.version() != seen;
+    seen = store.version();
+    return changed;
+  };
+  const auto summary =
+      std::make_shared<summary::ResourceSummary>(make_summary(0.2));
+  store.put({1, SummaryKind::kBranch, ReplicaRole::kSibling}, summary, 0);
+  EXPECT_TRUE(moved()) << "put of a new replica";
+  store.put({1, SummaryKind::kBranch, ReplicaRole::kSibling}, summary, 90);
+  EXPECT_TRUE(moved()) << "put refreshing a replica";
+  store.put({2, SummaryKind::kLocal, ReplicaRole::kAncestor}, summary, 10);
+  EXPECT_TRUE(moved());
+
+  record::Query q;
+  q.add(record::Predicate::range(0, 0.15, 0.25));
+  (void)store.find(1, SummaryKind::kBranch);
+  (void)store.has(2, SummaryKind::kLocal);
+  (void)store.all();
+  (void)store.ages(50);
+  (void)store.max_age(50);
+  (void)store.stored_bytes();
+  EXPECT_EQ(store.matching(q, SummaryKind::kBranch).size(), 1u);
+  EXPECT_FALSE(moved()) << "reads";
+
+  EXPECT_EQ(store.sweep(100), 0u);
+  EXPECT_FALSE(moved()) << "sweep that expires nothing";
+  EXPECT_EQ(store.sweep(150), 1u);  // origin 2, received at 10
+  EXPECT_TRUE(moved()) << "sweep that expires a replica";
+
+  store.clear();
+  EXPECT_TRUE(moved()) << "clear";
+  store.clear();
+  EXPECT_FALSE(moved()) << "clear of an empty store";
 }
 
 TEST(ReplicaStore, MatchingFiltersByQueryAndKind) {

@@ -4,6 +4,7 @@
 // coverage after the live protocol ran, and ROADS/SWORD parity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <tuple>
 
@@ -149,8 +150,9 @@ class CacheSoundnessSweep : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   static constexpr std::size_t kNodes = 15;
   static constexpr std::size_t kDegree = 3;
+  static constexpr int kBuckets = 60;
 
-  void Build() {
+  void Build(bool overlay = true) {
     const auto seed = GetParam();
     schema_ = record::Schema::uniform_numeric(6);
     spec_ = workload::WorkloadSpec::paper_default(6, 30);
@@ -161,10 +163,11 @@ class CacheSoundnessSweep : public ::testing::TestWithParam<std::uint64_t> {
     params.schema = schema_;
     params.seed = seed;
     params.config.max_children = kDegree;
-    params.config.summary.histogram_buckets = 60;
+    params.config.summary.histogram_buckets = kBuckets;
     params.config.summary_refresh_period = sim::seconds(50);
     params.config.summary_ttl = sim::seconds(200);
     params.config.query_cache_enabled = true;
+    params.config.overlay_enabled = overlay;
     fed_ = std::make_unique<core::Federation>(std::move(params));
     fed_->add_servers(kNodes);
     for (std::size_t n = 0; n < kNodes; ++n) {
@@ -193,8 +196,52 @@ class CacheSoundnessSweep : public ::testing::TestWithParam<std::uint64_t> {
     return count;
   }
 
-  std::uint64_t hits() const {
-    return fed_->metrics().counter("roads.query.cache.hit").value();
+  std::uint64_t counter(const char* name) const {
+    return fed_->metrics().counter(name).value();
+  }
+  std::uint64_t hits() const { return counter("roads.query.cache.hit"); }
+
+  /// One attribute value, and the narrow range query around it.
+  struct Spot {
+    std::size_t attr = 0;
+    double value = 0.5;
+    record::Query query() const {
+      record::Query q;
+      q.add(record::Predicate::range(attr, value - 0.001, value + 0.001));
+      return q;
+    }
+  };
+
+  /// The centre of a histogram bucket that no record occupies yet, so
+  /// no summary anywhere admits its query (the root's branch summary
+  /// covers every record).
+  Spot unoccupied_spot() const {
+    const auto branch = fed_->server(fed_->topology().root()).branch_summary();
+    for (std::size_t a = 0; a < schema_.size(); ++a) {
+      for (int b = 0; b < kBuckets; ++b) {
+        const Spot spot{a, (b + 0.5) / kBuckets};
+        if (!branch->matches(spot.query())) return spot;
+      }
+    }
+    ADD_FAILURE() << "every histogram bucket is occupied";
+    return {};
+  }
+
+  /// Moves one record of `node` onto `spot`.
+  void move_record(sim::NodeId node, const Spot& spot) {
+    auto& store = fed_->server(node).local_store();
+    auto moved = store.snapshot().front();
+    moved.set_value(spot.attr, record::AttributeValue(spot.value));
+    store.update(std::move(moved));
+  }
+
+  /// Runs `q` from `start` twice; the second run must be a cache hit.
+  core::QueryOutcome warm(const record::Query& q, sim::NodeId start) {
+    fed_->run_query(q, start);
+    const auto hits_before = hits();
+    auto outcome = fed_->run_query(q, start);
+    EXPECT_GT(hits(), hits_before) << "warm-up query was not a hit";
+    return outcome;
   }
 
   record::Schema schema_;
@@ -212,14 +259,22 @@ TEST_P(CacheSoundnessSweep, HitIsByteIdenticalToColdEvaluation) {
     const auto start = static_cast<sim::NodeId>(
         pick.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
     const auto hits_before = hits();
+    const auto fp0 = counter("roads.query.false_positives");
+    const auto shortcuts0 = counter("roads.overlay.shortcut_hits");
     const auto cold = fed_->run_query(q, start);
     ASSERT_TRUE(cold.complete);
     EXPECT_EQ(cold.matching_records, brute_force(q));
+    const auto fp1 = counter("roads.query.false_positives");
+    const auto shortcuts1 = counter("roads.overlay.shortcut_hits");
     const auto warm = fed_->run_query(q, start);
     ASSERT_TRUE(warm.complete);
     EXPECT_GT(hits(), hits_before) << "second evaluation was not a hit";
     EXPECT_EQ(warm.matching_records, cold.matching_records);
     EXPECT_EQ(warm.result_bytes, cold.result_bytes);
+    // The §V meters are cache-transparent.
+    EXPECT_EQ(counter("roads.query.false_positives") - fp1, fp1 - fp0);
+    EXPECT_EQ(counter("roads.overlay.shortcut_hits") - shortcuts1,
+              shortcuts1 - shortcuts0);
     // A hit holds the server for the hit delay, not a full evaluation
     // plus descent — it must never be slower than the cold pass.
     EXPECT_LE(warm.latency_ms, cold.latency_ms) << "trial " << trial;
@@ -259,6 +314,76 @@ TEST_P(CacheSoundnessSweep, SummaryDigestChangeInvalidates) {
   const auto root_fresh = fed_->run_query(q, 0);
   EXPECT_EQ(root_fresh.matching_records, brute_force(q));
   EXPECT_GE(root_fresh.matching_records, root_cold.matching_records);
+}
+
+// The next three cases each change one container a server's evaluation
+// reads — and nothing else that server reads — between a warm query
+// and a checked one, so a container mutator that failed to move its
+// version would leave the stamp in place and serve the stale hit.
+
+// Child table: with the overlay off, the root reads only its own store
+// and its children's branch summaries.
+TEST_P(CacheSoundnessSweep, ChildSummaryChangeInvalidatesAtRoot) {
+  Build(/*overlay=*/false);
+  const auto root = fed_->topology().root();
+  const auto spot = unoccupied_spot();
+  EXPECT_EQ(warm(spot.query(), root).matching_records, 0u);
+  move_record(static_cast<sim::NodeId>(kNodes - 1), spot);
+  fed_->advance(4 * sim::seconds(50));  // the new summary climbs to the root
+  const auto checked = fed_->run_query(spot.query(), root);
+  EXPECT_EQ(checked.matching_records, 1u);
+  EXPECT_EQ(checked.matching_records, brute_force(spot.query()));
+}
+
+// Replica store: a leaf has no children, so a change elsewhere reaches
+// its evaluation only through the overlay replicas it holds.
+TEST_P(CacheSoundnessSweep, ReplicaChangeInvalidatesAtLeaf) {
+  Build();
+  const auto topo = fed_->topology();
+  const auto leaf = static_cast<sim::NodeId>(kNodes - 1);
+  ASSERT_TRUE(topo.is_leaf(leaf));
+  const auto path = topo.path_from_root(leaf);
+  sim::NodeId elsewhere = 0;
+  while (std::find(path.begin(), path.end(), elsewhere) != path.end()) {
+    ++elsewhere;
+  }
+  const auto spot = unoccupied_spot();
+  EXPECT_EQ(warm(spot.query(), leaf).matching_records, 0u);
+  move_record(elsewhere, spot);
+  fed_->advance(4 * sim::seconds(50));  // replicas cascade down to the leaf
+  const auto checked = fed_->run_query(spot.query(), leaf);
+  EXPECT_EQ(checked.matching_records, 1u);
+  EXPECT_EQ(checked.matching_records, brute_force(spot.query()));
+}
+
+// Child removal: with refresh paused, a leaf child's departure is the
+// only change its parent sees; the parent must stop routing to it.
+TEST_P(CacheSoundnessSweep, ChildLeaveInvalidatesAtParent) {
+  Build();
+  fed_->set_refresh_paused(true);
+  const auto child = static_cast<sim::NodeId>(kNodes - 1);
+  const auto topo = fed_->topology();
+  ASSERT_TRUE(topo.is_leaf(child));
+  const auto parent = *fed_->server(child).parent();
+  const auto q =
+      Spot{0, fed_->server(child).local_store().snapshot().front().value(0).number()}
+          .query();
+  const auto before = warm(q, parent);
+  ASSERT_NE(std::find(before.contacted.begin(), before.contacted.end(), child),
+            before.contacted.end());
+  std::size_t child_matches = 0;
+  for (const auto& r : fed_->server(child).local_store().snapshot()) {
+    if (q.matches(r)) ++child_matches;
+  }
+  ASSERT_GT(child_matches, 0u);
+
+  fed_->server(child).leave();
+  fed_->advance(sim::seconds(1));  // the leave notice reaches the parent
+  const auto checked = fed_->run_query(q, parent);
+  EXPECT_EQ(std::find(checked.contacted.begin(), checked.contacted.end(), child),
+            checked.contacted.end())
+      << "parent still routed to its departed child";
+  EXPECT_EQ(checked.matching_records, before.matching_records - child_matches);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheSoundnessSweep,

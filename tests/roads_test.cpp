@@ -13,6 +13,7 @@
 #include "roads/client.h"
 #include "roads/federation.h"
 #include "roads/query_cache.h"
+#include "sim/fault.h"
 
 namespace roads {
 namespace {
@@ -220,6 +221,28 @@ TEST(FederationQuery, LatencyIsPositiveAndBounded) {
   EXPECT_LT(outcome.latency_ms, 5000.0);
 }
 
+// With every message duplicated, servers evaluate each query twice and
+// every result batch arrives twice; the client must still collect each
+// matching record once, cold and from the cache.
+TEST(FederationQuery, DuplicatedMessagesCollectEachRecordOnce) {
+  for (const bool cache : {false, true}) {
+    std::unique_ptr<Federation> holder;
+    auto& fed = build_identifiable(holder, 7, 3);
+    fed.mutable_config().collect_results = true;
+    fed.mutable_config().query_cache_enabled = cache;
+    sim::FaultPlan plan;
+    plan.duplicate_rate = 1.0;
+    fed.apply_fault_plan(plan);
+    for (int run = 0; run < 2; ++run) {
+      const auto outcome = fed.run_query(query_attr0(0.0, 1.0), 0);
+      ASSERT_TRUE(outcome.complete);
+      EXPECT_EQ(outcome.matching_records, 21u);
+      EXPECT_EQ(outcome.records.size(), outcome.matching_records)
+          << "cache " << cache << " run " << run;
+    }
+  }
+}
+
 // --- Voluntary sharing ---
 
 TEST(VoluntarySharing, SummaryOnlyOwnerAnswersThroughPolicy) {
@@ -388,11 +411,11 @@ TEST(FederationChurn, QueriesStillResolveAfterFailure) {
 TEST(QueryResultCacheBounds, EntryLimitEvictsLeastRecentlyUsed) {
   core::QueryResultCache cache(/*max_entries=*/3, /*max_bytes=*/1 << 20);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    EXPECT_EQ(cache.insert(k, core::CachedReply{}), 0u);
+    EXPECT_EQ(cache.insert(k, std::make_shared<core::CachedReply>()), 0u);
   }
   // Touch key 1 so key 2 becomes the LRU victim.
   EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.insert(4, core::CachedReply{}), 1u);
+  EXPECT_EQ(cache.insert(4, std::make_shared<core::CachedReply>()), 1u);
   EXPECT_EQ(cache.size(), 3u);
   EXPECT_NE(cache.find(1), nullptr);
   EXPECT_EQ(cache.find(2), nullptr) << "LRU victim survived";
@@ -404,7 +427,7 @@ TEST(QueryResultCacheBounds, ByteLimitEvictsButKeepsNewestEntry) {
   // Each empty CachedReply charges its 64-byte base; record_bytes adds
   // directly. A 150-byte budget holds two small entries at most.
   core::QueryResultCache cache(/*max_entries=*/64, /*max_bytes=*/150);
-  core::CachedReply small;
+  const auto small = std::make_shared<core::CachedReply>();
   EXPECT_EQ(cache.insert(1, small), 0u);
   EXPECT_EQ(cache.insert(2, small), 0u);
   EXPECT_EQ(cache.insert(3, small), 1u) << "byte bound did not evict";
@@ -413,8 +436,8 @@ TEST(QueryResultCacheBounds, ByteLimitEvictsButKeepsNewestEntry) {
 
   // An entry larger than the whole budget still caches (the just-
   // inserted entry is never evicted) after clearing everything else.
-  core::CachedReply huge;
-  huge.record_bytes = 1000;
+  auto huge = std::make_shared<core::CachedReply>();
+  huge->record_bytes = 1000;
   EXPECT_EQ(cache.insert(4, huge), 2u);
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_NE(cache.find(4), nullptr);
