@@ -86,7 +86,7 @@ CentralQueryOutcome CentralRepository::run_query(const record::Query& query,
           ids = store_.query(query, &stats);
         }
         std::uint64_t record_bytes = 0;
-        for (const auto id : ids) record_bytes += store_.get(id).wire_size();
+        for (const auto id : ids) record_bytes += store_.wire_size(id);
         const auto service =
             store::service_time_us(params_.service_model, stats, record_bytes);
         run->matches = ids.size();

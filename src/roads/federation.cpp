@@ -296,11 +296,12 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
   }
 
   // Critical-path attribution (tracing on): rebuild this query's span
-  // tree from the buffered events and split the measured latency into
-  // network / processing / queueing / false-positive-detour phases.
+  // tree from its own buffered events (each carries the query's root
+  // id) and split the measured latency into network / processing /
+  // queueing / false-positive-detour phases.
   out.trace_id = client->span();
   if (trace_ && out.trace_id != 0) {
-    const auto tree = obs::SpanTree::build(trace_->events());
+    const auto tree = obs::SpanTree::build(trace_->trace_events(out.trace_id));
     auto fwd = obs::query_critical_path(tree, out.trace_id,
                                         obs::QueryEndpoint::kForwarding);
     if (fwd.complete) {

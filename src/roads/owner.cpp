@@ -18,8 +18,8 @@ std::vector<record::ResourceRecord> ResourceOwner::answer(
     Principal requester, const record::Query& q) const {
   std::vector<record::ResourceRecord> out;
   for (const auto id : store_.query(q)) {
-    const auto& r = store_.get(id);
-    if (policy_(requester, r)) out.push_back(r);
+    auto r = store_.get(id);
+    if (policy_(requester, r)) out.push_back(std::move(r));
   }
   return out;
 }

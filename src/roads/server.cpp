@@ -247,13 +247,10 @@ void RoadsServer::attach_owner(std::shared_ptr<ResourceOwner> owner,
   att.mode = mode;
   if (mode == ExportMode::kDetailedRecords) {
     // The owner ships raw records; remote exports cost update traffic.
-    std::uint64_t bytes = 0;
-    for (const auto& r : owner->store().snapshot()) {
-      bytes += r.wire_size();
-      store_.insert(r);
-    }
+    store_.insert_all(owner->store());
     if (owner->node() != id_) {
-      network_.send(owner->node(), id_, bytes, sim::Channel::kUpdate, [] {});
+      network_.send(owner->node(), id_, owner->store().stored_bytes(),
+                    sim::Channel::kUpdate, [] {});
     }
   } else {
     att.summary = std::make_shared<const summary::ResourceSummary>(
@@ -271,17 +268,13 @@ void RoadsServer::reexport_owner(record::OwnerId owner_id) {
     if (att.owner->id() != owner_id) continue;
     if (att.mode == ExportMode::kDetailedRecords) {
       // Replace this owner's records wholesale (soft-state refresh).
-      std::uint64_t bytes = 0;
       for (const auto& r : store_.snapshot()) {
         if (r.owner() == owner_id) store_.erase(r.id());
       }
-      for (const auto& r : att.owner->store().snapshot()) {
-        bytes += r.wire_size();
-        store_.insert(r);
-      }
+      store_.insert_all(att.owner->store());
       if (att.owner->node() != id_) {
-        network_.send(att.owner->node(), id_, bytes, sim::Channel::kUpdate,
-                      [] {});
+        network_.send(att.owner->node(), id_, att.owner->store().stored_bytes(),
+                      sim::Channel::kUpdate, [] {});
       }
     } else {
       att.summary = std::make_shared<const summary::ResourceSummary>(

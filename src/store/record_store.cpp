@@ -1,119 +1,274 @@
 #include "store/record_store.h"
 
 #include <algorithm>
-#include <limits>
+#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 namespace roads::store {
 
-RecordStore::RecordStore(record::Schema schema) : schema_(std::move(schema)) {
-  numeric_indexes_.resize(schema_.size());
+namespace {
+
+bool is_numeric(const record::AttributeDef& def) {
+  return def.type == record::AttributeType::kNumeric;
 }
+
+}  // namespace
+
+RecordStore::RecordStore(record::Schema schema)
+    : schema_(std::move(schema)), columns_(schema_.size()) {}
 
 void RecordStore::insert(record::ResourceRecord record) {
   if (!record.conforms_to(schema_)) {
     throw std::invalid_argument("RecordStore: record does not match schema");
   }
-  const auto id = record.id();
-  if (records_.count(id)) {
+  const auto slot = static_cast<std::uint32_t>(ids_.size());
+  if (!slots_.emplace(record.id(), slot).second) {
     throw std::invalid_argument("RecordStore: duplicate record id");
   }
-  const auto slot = static_cast<std::uint32_t>(records_dense_.size());
-  records_dense_.push_back(std::move(record));
-  live_.push_back(true);
-  records_.emplace(id, slot);
-  stored_bytes_ += records_dense_[slot].wire_size();
-  log_change(&records_dense_[slot], nullptr);
+  store_values(slot, record);
+  ids_.push_back(record.id());
+  owners_.push_back(record.owner());
+  stored_bytes_ += record.wire_size();
+  if (logging_changes()) changes_added_.push_back(std::move(record));
   ++version_;
-  invalidate_indexes();
+}
+
+void RecordStore::insert_all(const RecordStore& other) {
+  bool same_shape = other.schema_.size() == schema_.size();
+  for (std::size_t a = 0; same_shape && a < schema_.size(); ++a) {
+    same_shape = other.schema_.at(a).type == schema_.at(a).type;
+  }
+  if (!same_shape) {
+    throw std::invalid_argument("RecordStore: record does not match schema");
+  }
+  for (const auto id : other.ids_) {
+    if (slots_.count(id)) {
+      throw std::invalid_argument("RecordStore: duplicate record id");
+    }
+  }
+  for (const auto from : other.id_order()) {
+    const auto slot = static_cast<std::uint32_t>(ids_.size());
+    slots_.emplace(other.ids_[from], slot);
+    ids_.push_back(other.ids_[from]);
+    owners_.push_back(other.owners_[from]);
+    for (std::size_t a = 0; a < columns_.size(); ++a) {
+      if (is_numeric(schema_.at(a))) {
+        columns_[a].numbers.push_back(other.columns_[a].numbers[from]);
+      } else {
+        columns_[a].categories.push_back(other.columns_[a].categories[from]);
+      }
+    }
+    if (logging_changes()) changes_added_.push_back(record_at(slot));
+    ++version_;
+  }
+  stored_bytes_ += other.stored_bytes_;
 }
 
 bool RecordStore::erase(record::RecordId id) {
-  auto it = records_.find(id);
-  if (it == records_.end()) return false;
-  stored_bytes_ -= records_dense_[it->second].wire_size();
-  log_change(nullptr, &records_dense_[it->second]);
-  live_[it->second] = false;
-  records_.erase(it);
+  auto it = slots_.find(id);
+  if (it == slots_.end()) return false;
+  const auto slot = it->second;
+  stored_bytes_ -= wire_size_at(slot);
+  if (logging_changes()) changes_removed_.push_back(record_at(slot));
+  slots_.erase(it);
+  // Swap-remove: the last slot fills the hole.
+  const auto last = static_cast<std::uint32_t>(ids_.size() - 1);
+  if (slot != last) slots_[ids_[last]] = slot;
+  ids_[slot] = ids_[last];
+  ids_.pop_back();
+  owners_[slot] = owners_[last];
+  owners_.pop_back();
+  for (std::size_t a = 0; a < columns_.size(); ++a) {
+    auto& column = columns_[a];
+    if (is_numeric(schema_.at(a))) {
+      column.numbers[slot] = column.numbers[last];
+      column.numbers.pop_back();
+    } else {
+      std::swap(column.categories[slot], column.categories[last]);
+      column.categories.pop_back();
+    }
+  }
   ++version_;
-  invalidate_indexes();
   return true;
 }
 
 void RecordStore::update(record::ResourceRecord record) {
-  auto it = records_.find(record.id());
-  if (it == records_.end()) {
+  auto it = slots_.find(record.id());
+  if (it == slots_.end()) {
     throw std::invalid_argument("RecordStore: update of unknown record");
   }
   if (!record.conforms_to(schema_)) {
     throw std::invalid_argument("RecordStore: record does not match schema");
   }
-  auto& stored = records_dense_[it->second];
-  stored_bytes_ -= stored.wire_size();
-  log_change(&record, &stored);
-  stored = std::move(record);
-  stored_bytes_ += stored.wire_size();
+  const auto slot = it->second;
+  stored_bytes_ -= wire_size_at(slot);
+  stored_bytes_ += record.wire_size();
+  const bool logging = logging_changes();
+  if (logging) changes_removed_.push_back(record_at(slot));
+  owners_[slot] = record.owner();
+  store_values(slot, record);
+  if (logging) changes_added_.push_back(std::move(record));
   ++version_;
-  invalidate_indexes();
 }
 
 bool RecordStore::contains(record::RecordId id) const {
-  return records_.count(id) > 0;
+  return slots_.count(id) > 0;
 }
 
-const record::ResourceRecord& RecordStore::get(record::RecordId id) const {
-  auto it = records_.find(id);
-  if (it == records_.end()) {
+std::uint32_t RecordStore::slot_of(record::RecordId id) const {
+  auto it = slots_.find(id);
+  if (it == slots_.end()) {
     throw std::out_of_range("RecordStore: unknown record id");
   }
-  return records_dense_[it->second];
+  return it->second;
 }
 
-void RecordStore::invalidate_indexes() {
-  for (auto& index : numeric_indexes_) index.valid = false;
+record::ResourceRecord RecordStore::get(record::RecordId id) const {
+  return record_at(slot_of(id));
 }
 
-const RecordStore::NumericIndex& RecordStore::numeric_index(
-    std::size_t attribute) const {
-  auto& index = numeric_indexes_[attribute];
-  if (!index.valid) {
-    index.entries.clear();
-    index.entries.reserve(records_.size());
-    for (std::uint32_t slot = 0; slot < records_dense_.size(); ++slot) {
-      if (!live_[slot]) continue;
-      const auto& v = records_dense_[slot].value(attribute);
-      if (v.is_numeric()) index.entries.emplace_back(v.number(), slot);
-    }
-    std::sort(index.entries.begin(), index.entries.end());
-    index.valid = true;
-  }
-  return index;
+std::uint64_t RecordStore::wire_size(record::RecordId id) const {
+  return wire_size_at(slot_of(id));
 }
 
-std::size_t RecordStore::most_selective(const record::Query& q) const {
-  std::size_t best = ~std::size_t{0};
-  std::size_t best_count = std::numeric_limits<std::size_t>::max();
-  for (std::size_t i = 0; i < q.predicates().size(); ++i) {
-    const auto& p = q.predicates()[i];
-    if (p.kind != record::Predicate::Kind::kRange) continue;
-    if (p.attribute >= schema_.size() || !schema_.at(p.attribute).searchable ||
-        schema_.at(p.attribute).type != record::AttributeType::kNumeric) {
-      continue;
-    }
-    const auto& index = numeric_index(p.attribute);
-    const auto lo = std::lower_bound(index.entries.begin(),
-                                     index.entries.end(),
-                                     std::make_pair(p.lo, std::uint32_t{0}));
-    const auto hi = std::upper_bound(
-        index.entries.begin(), index.entries.end(),
-        std::make_pair(p.hi, std::numeric_limits<std::uint32_t>::max()));
-    const auto count = static_cast<std::size_t>(std::distance(lo, hi));
-    if (count < best_count) {
-      best_count = count;
-      best = i;
+record::ResourceRecord RecordStore::record_at(std::uint32_t slot) const {
+  std::vector<record::AttributeValue> values;
+  values.reserve(columns_.size());
+  for (std::size_t a = 0; a < columns_.size(); ++a) {
+    if (is_numeric(schema_.at(a))) {
+      values.emplace_back(columns_[a].numbers[slot]);
+    } else {
+      values.emplace_back(columns_[a].categories[slot]);
     }
   }
-  return best;
+  return {ids_[slot], owners_[slot], std::move(values)};
+}
+
+std::uint64_t RecordStore::wire_size_at(std::uint32_t slot) const {
+  // ResourceRecord::wire_size(): a 16-byte header, then per value a
+  // 2-byte tag and AttributeValue::wire_size().
+  std::uint64_t size = 16;
+  for (std::size_t a = 0; a < columns_.size(); ++a) {
+    size += 2 + (is_numeric(schema_.at(a))
+                     ? 8
+                     : columns_[a].categories[slot].size() + 1);
+  }
+  return size;
+}
+
+void RecordStore::store_values(std::uint32_t slot,
+                               const record::ResourceRecord& record) {
+  const bool append = slot == ids_.size();
+  for (std::size_t a = 0; a < columns_.size(); ++a) {
+    const auto& value = record.value(a);
+    auto& column = columns_[a];
+    if (value.is_numeric()) {
+      if (append) {
+        column.numbers.push_back(value.number());
+      } else {
+        column.numbers[slot] = value.number();
+      }
+    } else if (append) {
+      column.categories.push_back(value.category());
+    } else {
+      column.categories[slot] = value.category();
+    }
+  }
+}
+
+bool RecordStore::indexable(const record::Predicate& p) const {
+  return p.kind == record::Predicate::Kind::kRange &&
+         p.attribute < schema_.size() && schema_.at(p.attribute).searchable &&
+         is_numeric(schema_.at(p.attribute));
+}
+
+void RecordStore::filter(const record::Predicate& p,
+                         std::vector<std::uint32_t>& selection,
+                         bool all) const {
+  // Branch-free compaction: each slot is written at the cursor, which
+  // moves past it only when the slot passes.
+  const auto keep = [&](auto passes) {
+    std::size_t kept = 0;
+    if (all) {
+      selection.resize(size());
+      for (std::uint32_t s = 0; s < size(); ++s) {
+        selection[kept] = s;
+        kept += passes(s);
+      }
+    } else {
+      for (std::size_t i = 0; i < selection.size(); ++i) {
+        const auto s = selection[i];
+        selection[kept] = s;
+        kept += passes(s);
+      }
+    }
+    selection.resize(kept);
+  };
+  // Predicate::matches: a range takes only numeric values in [lo, hi]
+  // (never NaN, nothing when !(lo <= hi)), an equality only an equal
+  // category, and an attribute past the schema matches nothing.
+  const bool range = p.kind == record::Predicate::Kind::kRange;
+  if (p.attribute >= schema_.size() ||
+      range != is_numeric(schema_.at(p.attribute))) {
+    selection.clear();
+    return;
+  }
+  const auto& column = columns_[p.attribute];
+  if (range) {
+    const double lo = p.lo;
+    const double hi = p.hi;
+    const double* values = column.numbers.data();
+    keep([=](std::uint32_t s) {
+      const double v = values[s];
+      return static_cast<std::size_t>(v >= lo) & (v <= hi);
+    });
+  } else {
+    keep([&](std::uint32_t s) {
+      return static_cast<std::size_t>(column.categories[s] == p.value);
+    });
+  }
+}
+
+std::vector<std::uint32_t> RecordStore::select(const record::Query& q,
+                                               QueryStats* stats) const {
+  constexpr std::size_t kNone = ~std::size_t{0};
+  const auto& predicates = q.predicates();
+  std::vector<std::uint32_t> selection;
+  bool all = true;  // `selection` stands for every slot until a filter runs
+  std::size_t first = kNone;  // the predicate `selection` already applies
+  if (stats != nullptr && size() >= kIndexThreshold) {
+    // Price the query as an index would: run each indexable predicate
+    // over its whole column, which counts its matches, and keep the
+    // smallest pass so the most selective predicate goes first.
+    std::vector<std::uint32_t> pass;
+    for (std::size_t i = 0; i < predicates.size(); ++i) {
+      if (!indexable(predicates[i])) continue;
+      filter(predicates[i], pass, /*all=*/true);
+      if (first == kNone || pass.size() < selection.size()) {
+        selection.swap(pass);
+        first = i;
+        all = false;
+        if (selection.empty()) break;
+      }
+    }
+  }
+  if (stats != nullptr) {
+    stats->used_index = first != kNone;
+    stats->candidates_scanned = stats->used_index ? selection.size() : size();
+  }
+  for (std::size_t i = 0; i < predicates.size(); ++i) {
+    if (i == first) continue;
+    if (!all && selection.empty()) break;
+    filter(predicates[i], selection, all);
+    all = false;
+  }
+  if (all) {  // the empty query
+    selection.resize(size());
+    std::iota(selection.begin(), selection.end(), std::uint32_t{0});
+  }
+  if (stats != nullptr) stats->matches = selection.size();
+  return selection;
 }
 
 std::vector<record::RecordId> RecordStore::query(
@@ -123,89 +278,68 @@ std::vector<record::RecordId> RecordStore::query(
 
 std::vector<record::RecordId> RecordStore::query(const record::Query& q,
                                                  QueryStats* stats) const {
+  const auto selection = select(q, stats);
   std::vector<record::RecordId> out;
-  if (stats) *stats = QueryStats{};
-
-  const std::size_t pivot = use_indexes() && !q.empty() ? most_selective(q)
-                                                        : ~std::size_t{0};
-  if (pivot == ~std::size_t{0}) {
-    // Scan path (small store, or no indexable predicate).
-    for (std::uint32_t slot = 0; slot < records_dense_.size(); ++slot) {
-      if (!live_[slot]) continue;
-      if (q.matches(records_dense_[slot])) {
-        out.push_back(records_dense_[slot].id());
-      }
-    }
-    if (stats) {
-      stats->candidates_scanned = records_.size();
-      stats->matches = out.size();
-    }
-  } else {
-    const auto& p = q.predicates()[pivot];
-    const auto& index = numeric_index(p.attribute);
-    const auto lo = std::lower_bound(index.entries.begin(),
-                                     index.entries.end(),
-                                     std::make_pair(p.lo, std::uint32_t{0}));
-    const auto hi = std::upper_bound(
-        index.entries.begin(), index.entries.end(),
-        std::make_pair(p.hi, std::numeric_limits<std::uint32_t>::max()));
-    std::size_t scanned = 0;
-    for (auto it = lo; it != hi; ++it) {
-      ++scanned;
-      const auto& r = records_dense_[it->second];
-      if (q.matches(r)) out.push_back(r.id());
-    }
-    if (stats) {
-      stats->candidates_scanned = scanned;
-      stats->matches = out.size();
-      stats->used_index = true;
-    }
-  }
+  out.reserve(selection.size());
+  for (const auto slot : selection) out.push_back(ids_[slot]);
   std::sort(out.begin(), out.end());
   return out;
 }
 
 std::size_t RecordStore::count_matching(const record::Query& q) const {
-  return query(q).size();
+  return select(q, nullptr).size();
+}
+
+summary::AttributeSummary RecordStore::column_summary(
+    std::size_t attribute, const summary::SummaryConfig& config) const {
+  const auto& def = schema_.at(attribute);
+  summary::AttributeSummary slot(def, config);
+  if (is_numeric(def)) {
+    slot.add_all(columns_[attribute].numbers);
+  } else {
+    slot.add_all(columns_[attribute].categories);
+  }
+  return slot;
 }
 
 summary::ResourceSummary RecordStore::summarize(
     const summary::SummaryConfig& config) const {
-  summary::ResourceSummary summary(schema_, config);
-  for (std::uint32_t slot = 0; slot < records_dense_.size(); ++slot) {
-    if (live_[slot]) summary.add(records_dense_[slot]);
+  std::vector<summary::AttributeSummary> slots;
+  for (const auto attribute : schema_.searchable_indices()) {
+    slots.push_back(column_summary(attribute, config));
   }
-  return summary;
+  return summary::ResourceSummary::of_slots(schema_, std::move(slots),
+                                            size());
+}
+
+std::vector<std::uint32_t> RecordStore::id_order() const {
+  std::vector<std::uint32_t> order(size());
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  std::sort(order.begin(), order.end(),
+            [this](auto a, auto b) { return ids_[a] < ids_[b]; });
+  return order;
 }
 
 std::vector<record::ResourceRecord> RecordStore::snapshot() const {
+  const auto order = id_order();
   std::vector<record::ResourceRecord> out;
-  out.reserve(records_.size());
-  for (std::uint32_t slot = 0; slot < records_dense_.size(); ++slot) {
-    if (live_[slot]) out.push_back(records_dense_[slot]);
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.id() < b.id(); });
+  out.reserve(order.size());
+  for (const auto slot : order) out.push_back(record_at(slot));
   return out;
 }
 
-std::uint64_t RecordStore::stored_bytes() const { return stored_bytes_; }
-
-void RecordStore::log_change(const record::ResourceRecord* added,
-                             const record::ResourceRecord* removed) {
-  if (changes_overflowed_) return;
+bool RecordStore::logging_changes() {
+  if (changes_overflowed_) return false;
   // Past half the store (with a floor so tiny stores never thrash), a
   // full rebuild beats replaying the log: drop it and remember why.
-  const std::size_t threshold =
-      std::max<std::size_t>(64, records_.size() / 2);
+  const std::size_t threshold = std::max<std::size_t>(64, slots_.size() / 2);
   if (pending_changes() + 2 > threshold) {
     changes_added_.clear();
     changes_removed_.clear();
     changes_overflowed_ = true;
-    return;
+    return false;
   }
-  if (added != nullptr) changes_added_.push_back(*added);
-  if (removed != nullptr) changes_removed_.push_back(*removed);
+  return true;
 }
 
 void RecordStore::clear_changes() {
@@ -229,12 +363,8 @@ SummaryRefresh RecordStore::refresh_summary(
   }
   out.delta_records = pending_changes();
   const auto rebuild = summary.apply_delta(changes_added_, changes_removed_);
-  for (const auto attr : rebuild) {
-    summary::AttributeSummary slot(schema_.at(attr), config);
-    for (std::uint32_t s = 0; s < records_dense_.size(); ++s) {
-      if (live_[s]) slot.add(records_dense_[s].value(attr));
-    }
-    summary.replace_slot(attr, std::move(slot));
+  for (const auto attribute : rebuild) {
+    summary.replace_slot(attribute, column_summary(attribute, config));
   }
   out.rebuilt_slots = rebuild.size();
   out.delta_slots = summary.slot_count() - rebuild.size();

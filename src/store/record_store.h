@@ -1,13 +1,15 @@
-// RecordStore: an indexed in-memory resource database.
+// RecordStore: a columnar in-memory resource database.
 //
 // This substitutes for the DB2 backend of the paper's prototype (§V-B):
 // each ROADS server attaches one, uses it to answer detailed queries at
-// the leaves, and derives export summaries from it. Small stores (the
-// common per-server case: hundreds of records) are scanned directly;
-// large stores (the central repository) build flat sorted secondary
-// indexes lazily, per attribute, on first use after a change. The flat
-// layout keeps bulk loading allocation-free per record, which matters
-// when a simulation populates a thousand stores.
+// the leaves, and derives export summaries from it. Records are held
+// column by column: one value vector per schema attribute (doubles for
+// numeric attributes, strings for categorical ones) beside a per-slot
+// id and owner. A query runs one predicate at a time over a selection
+// vector of slots, and a summary is built one column at a time, so
+// neither touches a ResourceRecord; records are rebuilt only for get(),
+// snapshot() and the change log. Erasing moves the last slot into the
+// hole, so the columns never hold dead slots.
 #pragma once
 
 #include <cstdint>
@@ -42,19 +44,26 @@ struct SummaryRefresh {
 
 class RecordStore {
  public:
-  /// Stores below this size answer queries by scanning; at or above it
-  /// they build per-attribute indexes lazily.
+  /// Below this size a query is priced as a full scan; at or above it,
+  /// as an index lookup on its most selective range predicate (see
+  /// query()). The threshold shapes QueryStats, never the results.
   static constexpr std::size_t kIndexThreshold = 2048;
 
   explicit RecordStore(record::Schema schema);
 
   const record::Schema& schema() const { return schema_; }
-  std::size_t size() const { return records_.size(); }
-  bool empty() const { return records_.empty(); }
+  std::size_t size() const { return ids_.size(); }
+  bool empty() const { return ids_.empty(); }
 
   /// Inserts a record; throws std::invalid_argument if it does not
   /// conform to the schema or duplicates an existing id.
   void insert(record::ResourceRecord record);
+
+  /// Inserts every record of `other`, in ascending id order, without
+  /// building them: the same as inserting other.snapshot() one by one.
+  /// Throws std::invalid_argument when the schemas differ in shape or an
+  /// id is already stored (before inserting anything).
+  void insert_all(const RecordStore& other);
 
   /// Removes by id; returns false when absent.
   bool erase(record::RecordId id);
@@ -64,9 +73,20 @@ class RecordStore {
   void update(record::ResourceRecord record);
 
   bool contains(record::RecordId id) const;
-  const record::ResourceRecord& get(record::RecordId id) const;
+  /// The stored record, rebuilt from the columns; throws
+  /// std::out_of_range when the id is unknown.
+  record::ResourceRecord get(record::RecordId id) const;
+  /// get(id).wire_size(), read off the columns without building the
+  /// record; throws std::out_of_range when the id is unknown.
+  std::uint64_t wire_size(record::RecordId id) const;
 
   /// All records matching the conjunctive query, in ascending id order.
+  /// `stats` reports the candidates a database would have filtered:
+  /// every record below kIndexThreshold; at or above it, the fewest
+  /// values in [lo, hi] over the query's range predicates on searchable
+  /// numeric attributes (an index range scan), or every record when no
+  /// predicate qualifies. Counting costs a large store one pass per such
+  /// predicate, so it is done only when `stats` is given.
   std::vector<record::RecordId> query(const record::Query& q) const;
   std::vector<record::RecordId> query(const record::Query& q,
                                       QueryStats* stats) const;
@@ -110,33 +130,49 @@ class RecordStore {
 
   /// Total wire size of all stored records — the "storage overhead" a
   /// server pays for holding raw records (Table I comparisons).
-  std::uint64_t stored_bytes() const;
+  std::uint64_t stored_bytes() const { return stored_bytes_; }
 
  private:
-  struct NumericIndex {
-    bool valid = false;
-    std::vector<std::pair<double, std::uint32_t>> entries;  // (value, slot)
+  /// One attribute's values by slot: `numbers` for a numeric attribute,
+  /// `categories` for a categorical one; the other stays empty.
+  struct Column {
+    std::vector<double> numbers;
+    std::vector<std::string> categories;
   };
 
-  const NumericIndex& numeric_index(std::size_t attribute) const;
-  void invalidate_indexes();
-  bool use_indexes() const { return records_.size() >= kIndexThreshold; }
+  std::uint32_t slot_of(record::RecordId id) const;
+  /// Slots in ascending id order.
+  std::vector<std::uint32_t> id_order() const;
+  record::ResourceRecord record_at(std::uint32_t slot) const;
+  std::uint64_t wire_size_at(std::uint32_t slot) const;
+  /// Writes the record's values into the columns at `slot`; append
+  /// when `slot == size()`.
+  void store_values(std::uint32_t slot, const record::ResourceRecord& record);
 
-  /// Appends to the change log unless it already overflowed; drops the
-  /// log once churn passes the point where a full rebuild is cheaper.
-  void log_change(const record::ResourceRecord* added,
-                  const record::ResourceRecord* removed);
+  /// Matching slots in no particular order; fills `stats` if given.
+  std::vector<std::uint32_t> select(const record::Query& q,
+                                    QueryStats* stats) const;
+  /// Narrows `selection` to the slots that satisfy `p` (every slot
+  /// when `all`), with Predicate::matches semantics.
+  void filter(const record::Predicate& p,
+              std::vector<std::uint32_t>& selection, bool all) const;
+  /// True for the predicates an index could answer: ranges on
+  /// searchable numeric attributes.
+  bool indexable(const record::Predicate& p) const;
 
-  /// Index of the range predicate with the fewest index candidates, or
-  /// npos if indexes are not in play.
-  std::size_t most_selective(const record::Query& q) const;
+  summary::AttributeSummary column_summary(
+      std::size_t attribute, const summary::SummaryConfig& config) const;
+
+  /// Whether the change log takes the next change. Drops the log (and
+  /// returns false from then on) once churn since the last refresh
+  /// passes the point where a full rebuild is cheaper.
+  bool logging_changes();
 
   record::Schema schema_;
-  /// Dense storage; erased slots are tombstoned and reused lazily.
-  std::vector<record::ResourceRecord> records_dense_;
-  std::vector<bool> live_;
-  std::unordered_map<record::RecordId, std::uint32_t> records_;  // id -> slot
-  mutable std::vector<NumericIndex> numeric_indexes_;  // per attribute
+  std::vector<Column> columns_;          // one per schema attribute
+  std::vector<record::RecordId> ids_;    // by slot
+  std::vector<record::OwnerId> owners_;  // by slot
+  std::unordered_map<record::RecordId, std::uint32_t> slots_;  // id -> slot
 
   std::uint64_t version_ = 0;
   std::uint64_t stored_bytes_ = 0;  // maintained on insert/erase/update

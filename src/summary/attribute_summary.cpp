@@ -49,6 +49,27 @@ void AttributeSummary::add(const record::AttributeValue& value) {
   }
 }
 
+void AttributeSummary::add_all(const std::vector<double>& values) {
+  if (auto* h = std::get_if<Histogram>(&repr_)) {
+    for (const double v : values) h->add(v);
+  } else if (auto* m = std::get_if<MultiResHistogram>(&repr_)) {
+    for (const double v : values) m->add(v);
+  } else {
+    throw std::logic_error("AttributeSummary: numeric column, other summary");
+  }
+}
+
+void AttributeSummary::add_all(const std::vector<std::string>& values) {
+  if (auto* s = std::get_if<ValueSet>(&repr_)) {
+    for (const auto& v : values) s->add(v);
+  } else if (auto* b = std::get_if<BloomFilter>(&repr_)) {
+    for (const auto& v : values) b->add(v);
+  } else {
+    throw std::logic_error(
+        "AttributeSummary: categorical column, other summary");
+  }
+}
+
 void AttributeSummary::remove(const record::AttributeValue& value) {
   if (auto* h = std::get_if<Histogram>(&repr_)) {
     h->remove(value.number());

@@ -5,7 +5,9 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 #include <variant>
+#include <vector>
 
 #include "record/query.h"
 #include "record/schema.h"
@@ -53,6 +55,9 @@ class AttributeSummary {
   bool empty() const;
 
   void add(const record::AttributeValue& value);
+  /// A whole column at once: the same as add() on each value in order.
+  void add_all(const std::vector<double>& values);
+  void add_all(const std::vector<std::string>& values);
   void remove(const record::AttributeValue& value);
   void merge(const AttributeSummary& other);
   void clear();

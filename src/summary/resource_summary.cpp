@@ -8,12 +8,33 @@ namespace roads::summary {
 
 ResourceSummary::ResourceSummary(const record::Schema& schema,
                                  const SummaryConfig& config) {
-  slot_index_.assign(schema.size(), kNotSearchable);
+  slots_.reserve(index_slots(schema));
   for (std::size_t i = 0; i < schema.size(); ++i) {
-    if (!schema.at(i).searchable) continue;
-    slot_index_[i] = slots_.size();
-    slots_.emplace_back(schema.at(i), config);
+    if (slot_index_[i] != kNotSearchable) {
+      slots_.emplace_back(schema.at(i), config);
+    }
   }
+}
+
+ResourceSummary ResourceSummary::of_slots(const record::Schema& schema,
+                                          std::vector<AttributeSummary> slots,
+                                          std::uint64_t record_count) {
+  ResourceSummary summary;
+  if (summary.index_slots(schema) != slots.size()) {
+    throw std::invalid_argument("ResourceSummary: slot count mismatch");
+  }
+  summary.slots_ = std::move(slots);
+  summary.record_count_ = record_count;
+  return summary;
+}
+
+std::size_t ResourceSummary::index_slots(const record::Schema& schema) {
+  slot_index_.assign(schema.size(), kNotSearchable);
+  std::size_t count = 0;
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    if (schema.at(i).searchable) slot_index_[i] = count++;
+  }
+  return count;
 }
 
 ResourceSummary ResourceSummary::of_records(

@@ -30,6 +30,13 @@ class ResourceSummary {
       const record::Schema& schema, const SummaryConfig& config,
       const std::vector<record::ResourceRecord>& records);
 
+  /// Summary of `record_count` records from slots built column by
+  /// column: one per searchable attribute of `schema`, in schema order.
+  /// Throws std::invalid_argument on a slot count mismatch.
+  static ResourceSummary of_slots(const record::Schema& schema,
+                                  std::vector<AttributeSummary> slots,
+                                  std::uint64_t record_count);
+
   bool initialized() const { return !slots_.empty(); }
   bool empty() const;
   /// Number of records folded in (via add/merge minus remove).
@@ -87,6 +94,8 @@ class ResourceSummary {
   /// slot_index_[schema attr] = index into slots_, or npos if the
   /// attribute is not searchable.
   static constexpr std::size_t kNotSearchable = ~std::size_t{0};
+  /// Sets slot_index_ for `schema`; returns the slot count.
+  std::size_t index_slots(const record::Schema& schema);
   std::vector<std::size_t> slot_index_;
   std::vector<AttributeSummary> slots_;
   std::uint64_t record_count_ = 0;

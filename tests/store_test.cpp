@@ -1,9 +1,12 @@
 // Tests for the record store (the DB2 substitute) and the service-time
-// model, including the property that the scan path and the indexed path
-// return identical results.
+// model, including a differential sweep of the columnar store against a
+// record-by-record model on both sides of the index-pricing threshold.
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "record/query.h"
 #include "store/record_store.h"
@@ -264,6 +267,323 @@ TEST(RecordStore, RefreshSummaryFallsBackOnChangeOverflow) {
                                            store.snapshot());
   EXPECT_EQ(s.digest(), expected.digest());
   EXPECT_FALSE(store.changes_overflowed());
+}
+
+// The row store's index walk took an inverted range's negative index
+// distance as its candidate count on stores at or above the threshold,
+// and walked past the end of the index.
+TEST(RecordStore, InvertedRangeMatchesNothingOnBothSidesOfTheThreshold) {
+  for (const std::size_t n : {RecordStore::kIndexThreshold - 10,
+                              RecordStore::kIndexThreshold + 10}) {
+    SCOPED_TRACE(n);
+    RecordStore store(record::Schema::uniform_numeric(2));
+    for (std::size_t i = 0; i < n; ++i) {
+      store.insert(ResourceRecord(
+          i, 1,
+          {AttributeValue(static_cast<double>(i) / static_cast<double>(n)),
+           AttributeValue(0.5)}));
+    }
+    const Query alone({Predicate::range(0, 0.6, 0.4)});
+    const Query paired(
+        {Predicate::range(1, 0.0, 1.0), Predicate::range(0, 0.6, 0.4)});
+    for (const auto& q : {alone, paired}) {
+      QueryStats stats;
+      EXPECT_TRUE(store.query(q, &stats).empty());
+      EXPECT_EQ(stats.matches, 0u);
+      EXPECT_EQ(store.count_matching(q), 0u);
+      const bool large = n >= RecordStore::kIndexThreshold;
+      EXPECT_EQ(stats.used_index, large);
+      EXPECT_EQ(stats.candidates_scanned, large ? 0u : n);
+    }
+  }
+}
+
+// --- Differential sweep: the store against a record-by-record model ---
+
+/// Numeric and categorical attributes, searchable or not: queries may
+/// filter on any of them, summaries cover only the searchable ones.
+record::Schema mixed_schema() {
+  using record::AttributeType;
+  return record::Schema({
+      {"load", AttributeType::kNumeric, true, 0.0, 1.0},
+      {"kind", AttributeType::kCategorical, true},
+      {"serial", AttributeType::kNumeric, false, 0.0, 1.0},
+      {"rate", AttributeType::kNumeric, true, 0.0, 1.0},
+      {"site", AttributeType::kCategorical, false},
+  });
+}
+
+const std::vector<std::string> kCategories = {"a", "cam", "disk", "gpu-node"};
+
+ResourceRecord random_record(util::Rng& rng, record::RecordId id) {
+  // Coarse values, so lo == hi and the range bounds hit stored values.
+  const auto value = [&rng] {
+    return AttributeValue(
+        static_cast<double>(rng.uniform_int(0, 20)) / 20.0);
+  };
+  const auto category = [&rng] {
+    return AttributeValue(kCategories[rng.uniform_int(0, 3)]);
+  };
+  return ResourceRecord(id, static_cast<record::OwnerId>(rng.uniform_int(0, 3)),
+                        {value(), category(), value(), value(), category()});
+}
+
+TEST(RecordStore, InsertAllMatchesInsertingTheSnapshot) {
+  util::Rng rng(3);
+  RecordStore source(mixed_schema());
+  for (const record::RecordId id : {40, 7, 23, 91, 15}) {
+    source.insert(random_record(rng, id));
+  }
+  summary::SummaryConfig config;
+  config.categorical_mode = summary::CategoricalMode::kBloom;
+  RecordStore bulk(mixed_schema());
+  RecordStore one_by_one(mixed_schema());
+  summary::ResourceSummary bulk_summary, one_by_one_summary;
+  for (auto* store : {&bulk, &one_by_one}) {
+    util::Rng same(9);
+    for (const record::RecordId id : {3, 60}) {
+      store->insert(random_record(same, id));
+    }
+  }
+  // A live change log, so both sides log the inserted records.
+  (void)bulk.refresh_summary(bulk_summary, config);
+  (void)one_by_one.refresh_summary(one_by_one_summary, config);
+
+  bulk.insert_all(source);
+  for (auto& r : source.snapshot()) one_by_one.insert(std::move(r));
+  ASSERT_EQ(bulk.size(), 7u);
+  EXPECT_EQ(bulk.version(), one_by_one.version());
+  EXPECT_EQ(bulk.stored_bytes(), one_by_one.stored_bytes());
+  EXPECT_EQ(bulk.pending_changes(), one_by_one.pending_changes());
+  const auto got = bulk.snapshot();
+  const auto want = one_by_one.snapshot();
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id(), want[i].id());
+    EXPECT_EQ(got[i].owner(), want[i].owner());
+    EXPECT_EQ(got[i].values(), want[i].values());
+  }
+  (void)bulk.refresh_summary(bulk_summary, config);
+  (void)one_by_one.refresh_summary(one_by_one_summary, config);
+  EXPECT_EQ(bulk_summary.digest(), one_by_one_summary.digest());
+
+  // A duplicate id or another schema shape rejects the whole batch.
+  const auto version = bulk.version();
+  EXPECT_THROW(bulk.insert_all(source), std::invalid_argument);
+  EXPECT_EQ(bulk.size(), 7u);
+  EXPECT_EQ(bulk.version(), version);
+  RecordStore numeric(record::Schema::uniform_numeric(5));
+  EXPECT_THROW(numeric.insert_all(source), std::invalid_argument);
+  EXPECT_TRUE(numeric.empty());
+}
+
+std::vector<Query> probe_queries(util::Rng& rng,
+                                 const std::map<record::RecordId,
+                                                ResourceRecord>& model) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto coarse = [&rng] {
+    return static_cast<double>(rng.uniform_int(0, 20)) / 20.0;
+  };
+  std::vector<Query> out;
+  for (int i = 0; i < 4; ++i) {  // random ranges on 1-3 numeric columns
+    Query q;
+    for (const std::size_t a : {std::size_t{0}, std::size_t{3}, std::size_t{2}}) {
+      if (!q.empty() && rng.uniform_int(0, 2) == 0) continue;
+      const double lo = coarse();
+      q.add(Predicate::range(a, lo, std::min(1.0, lo + coarse() / 2.0)));
+    }
+    out.push_back(q);
+  }
+  out.push_back(Query({Predicate::at_least(0, coarse()),
+                       Predicate::at_most(3, coarse())}));
+  out.push_back(Query({Predicate::range(3, -kInf, kInf)}));
+  const double stored =
+      model.empty() ? 0.5 : model.begin()->second.value(0).number();
+  out.push_back(Query({Predicate::range(0, stored, stored)}));
+  out.push_back(Query({Predicate::range(3, 0.0, 1.0),
+                       Predicate::range(0, 0.6, 0.4)}));
+  out.push_back(Query({Predicate::range(
+      0, std::numeric_limits<double>::quiet_NaN(), 1.0)}));
+  out.push_back(Query({Predicate::equals(1, kCategories[rng.uniform_int(0, 3)]),
+                       Predicate::range(0, 0.0, coarse())}));
+  out.push_back(Query({Predicate::equals(1, "never-stored")}));
+  out.push_back(Query({Predicate::equals(4, "never-stored")}));
+  out.push_back(Query({Predicate::equals(0, "a")}));           // wrong kind
+  out.push_back(Query({Predicate::range(1, 0.0, 1.0)}));       // wrong kind
+  out.push_back(Query({Predicate::range(0, 0.0, 1.0),
+                       Predicate::range(9, 0.0, 1.0)}));       // no such attr
+  out.push_back(Query());
+  return out;
+}
+
+/// QueryStats restated from the rule: at or above the threshold, the
+/// fewest values in [lo, hi] over ranges on searchable numeric columns;
+/// every record otherwise.
+QueryStats expected_stats(const record::Schema& schema, const Query& q,
+                          const std::vector<ResourceRecord>& records,
+                          std::size_t matches) {
+  QueryStats out;
+  out.matches = matches;
+  out.candidates_scanned = records.size();
+  if (records.size() < RecordStore::kIndexThreshold) return out;
+  for (const auto& p : q.predicates()) {
+    if (p.kind != Predicate::Kind::kRange || p.attribute >= schema.size() ||
+        !schema.at(p.attribute).searchable ||
+        schema.at(p.attribute).type != record::AttributeType::kNumeric) {
+      continue;
+    }
+    std::size_t count = 0;
+    for (const auto& r : records) {
+      const double v = r.value(p.attribute).number();
+      if (p.lo <= v && v <= p.hi) ++count;
+    }
+    if (!out.used_index || count < out.candidates_scanned) {
+      out.candidates_scanned = count;
+    }
+    out.used_index = true;
+  }
+  return out;
+}
+
+void check_against_model(
+    RecordStore& store, const std::map<record::RecordId, ResourceRecord>& model,
+    const summary::SummaryConfig& config, summary::ResourceSummary& refreshed,
+    util::Rng& rng) {
+  std::vector<ResourceRecord> records;
+  std::uint64_t bytes = 0;
+  for (const auto& [id, r] : model) {
+    records.push_back(r);
+    bytes += r.wire_size();
+  }
+  ASSERT_EQ(store.size(), records.size());
+  const auto snapshot = store.snapshot();
+  ASSERT_EQ(snapshot.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    ASSERT_EQ(snapshot[i].id(), records[i].id());
+    ASSERT_EQ(snapshot[i].owner(), records[i].owner());
+    ASSERT_EQ(snapshot[i].values(), records[i].values());
+  }
+  EXPECT_EQ(store.stored_bytes(), bytes);
+
+  for (const auto& q : probe_queries(rng, model)) {
+    SCOPED_TRACE(q.to_string(store.schema()));
+    std::vector<record::RecordId> expect;
+    for (const auto& r : records) {
+      if (q.matches(r)) expect.push_back(r.id());
+    }
+    QueryStats stats;
+    EXPECT_EQ(store.query(q, &stats), expect);
+    const auto want = expected_stats(store.schema(), q, records, expect.size());
+    EXPECT_EQ(stats.candidates_scanned, want.candidates_scanned);
+    EXPECT_EQ(stats.matches, want.matches);
+    EXPECT_EQ(stats.used_index, want.used_index);
+    EXPECT_EQ(store.count_matching(q), expect.size());
+  }
+
+  const auto reference =
+      summary::ResourceSummary::of_records(store.schema(), config, records);
+  EXPECT_EQ(store.summarize(config).digest(), reference.digest());
+  (void)store.refresh_summary(refreshed, config);
+  EXPECT_EQ(refreshed.digest(), reference.digest());
+}
+
+TEST(RecordStore, DifferentialSweepAgainstRecordModel) {
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    summary::SummaryConfig config;
+    config.histogram_buckets = 16;
+    // Bloom slots cannot subtract, so refresh_summary rebuilds them from
+    // the columns; enumerated ones take the exact delta.
+    config.categorical_mode = seed % 2 == 0
+                                  ? summary::CategoricalMode::kBloom
+                                  : summary::CategoricalMode::kEnumerate;
+    RecordStore store(mixed_schema());
+    std::map<record::RecordId, ResourceRecord> model;
+    summary::ResourceSummary refreshed;
+    record::RecordId next_id = 1;
+
+    const auto insert = [&] {
+      // Ids arrive out of order, so slot order and id order differ.
+      const auto id = next_id++ * 7919 % 100'003;
+      auto r = random_record(rng, id);
+      model.emplace(id, r);
+      store.insert(std::move(r));
+    };
+    const auto erase = [&](bool last_inserted) {
+      if (model.empty()) return;
+      auto it = model.begin();
+      if (last_inserted) {
+        it = model.find((next_id - 1) * 7919 % 100'003);
+        if (it == model.end()) return;
+      } else {
+        std::advance(it, rng.uniform_int(0, model.size() - 1));
+      }
+      EXPECT_TRUE(store.erase(it->first));
+      model.erase(it);
+    };
+    const auto insert_batch = [&] {
+      RecordStore batch(mixed_schema());
+      for (auto n = rng.uniform_int(0, 4); n > 0; --n) {
+        const auto id = next_id++ * 7919 % 100'003;
+        auto r = random_record(rng, id);
+        model.emplace(id, r);
+        batch.insert(std::move(r));
+      }
+      store.insert_all(batch);
+    };
+    const auto update = [&] {
+      if (model.empty()) return;
+      auto it = model.begin();
+      std::advance(it, rng.uniform_int(0, model.size() - 1));
+      it->second = random_record(rng, it->first);
+      store.update(it->second);
+    };
+    const auto random_ops = [&](int ops, int insert_weight) {
+      for (int i = 0; i < ops; ++i) {
+        const auto pick = rng.uniform_int(0, insert_weight + 4);
+        if (pick < insert_weight) {
+          insert();
+        } else if (pick == insert_weight + 4) {
+          insert_batch();
+        } else if (pick == insert_weight) {
+          erase(/*last_inserted=*/true);  // the record in the last slot
+        } else if (pick == insert_weight + 1) {
+          erase(/*last_inserted=*/false);
+        } else {
+          update();
+        }
+      }
+    };
+    const auto check = [&] {
+      check_against_model(store, model, config, refreshed, rng);
+    };
+
+    // Small stores, down to the only record and an empty store.
+    for (int step = 0; step < 12; ++step) {
+      random_ops(static_cast<int>(rng.uniform_int(1, 6)), 2);
+      check();
+    }
+    insert();
+    erase(/*last_inserted=*/true);  // the last slot, with no hole to fill
+    check();
+    while (model.size() > 1) erase(false);
+    check();
+    erase(false);
+    check();
+
+    // Across the index threshold and back.
+    while (model.size() + 4 < RecordStore::kIndexThreshold) insert();
+    check();
+    for (int step = 0; step < 8; ++step) {
+      random_ops(4, 4);
+      check();
+    }
+    for (int step = 0; step < 8; ++step) {
+      random_ops(4, 0);
+      check();
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
 }
 
 // --- Service model ---

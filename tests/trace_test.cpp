@@ -22,6 +22,7 @@
 #include "record/query.h"
 #include "roads/federation.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace roads {
 namespace {
@@ -426,6 +427,97 @@ TEST(TraceEndToEnd, JoinRetryAfterTimeoutStaysInTheJoinTrace) {
   ASSERT_TRUE(lost_at_dead_server);
   ASSERT_GE(sends, 3u);  // request, request to the dead server, retry
   EXPECT_EQ(traces.size(), 1u);
+}
+
+void expect_same_path(const obs::CriticalPath& got,
+                      const obs::CriticalPath& want) {
+  EXPECT_EQ(got.complete, want.complete);
+  EXPECT_EQ(got.total_us, want.total_us);
+  EXPECT_EQ(got.network_us, want.network_us);
+  EXPECT_EQ(got.processing_us, want.processing_us);
+  EXPECT_EQ(got.queueing_us, want.queueing_us);
+  EXPECT_EQ(got.detour_us, want.detour_us);
+  EXPECT_EQ(got.hops, want.hops);
+  EXPECT_EQ(got.terminal_span, want.terminal_span);
+  EXPECT_EQ(got.terminal_at_us, want.terminal_at_us);
+}
+
+/// What run_query reports, recomputed from a tree over the whole ring.
+void expect_paths_match_whole_ring(const Federation& fed,
+                                   const core::QueryOutcome& out) {
+  const auto tree = obs::SpanTree::build(fed.trace()->events());
+  ASSERT_TRUE(out.forwarding_path.has_value());
+  expect_same_path(*out.forwarding_path,
+                   obs::query_critical_path(tree, out.trace_id,
+                                            obs::QueryEndpoint::kForwarding));
+  const auto response = obs::query_critical_path(
+      tree, out.trace_id, obs::QueryEndpoint::kResponse);
+  const bool reported = response.complete || response.terminal_span != 0;
+  ASSERT_EQ(out.response_path.has_value(), reported);
+  if (reported) expect_same_path(*out.response_path, response);
+}
+
+// run_query builds a query's span tree from that query's own events
+// only. Its critical paths must equal those of a tree over the whole
+// ring, with refresh waves and other queries interleaved in the ring and
+// queries queueing behind each other at their start server.
+TEST(TraceEndToEnd, CriticalPathsFromTheQueryTraceMatchTheWholeRing) {
+  auto params = traced_params(std::size_t{1} << 14);
+  params.config.collect_results = true;
+  params.config.query_concurrency_limit = 1;
+  Federation fed(params);
+  constexpr std::size_t kServers = 24;
+  fed.add_servers(kServers);
+  seed_identifiable(fed, kServers);
+  fed.start();
+  fed.stabilize();
+
+  util::Rng rng(5);
+  std::size_t complete_paths = 0;
+  for (int i = 0; i < 220; ++i) {
+    SCOPED_TRACE("query " + std::to_string(i));
+    Query q;
+    const double lo = rng.uniform01() * 0.8;
+    q.add(Predicate::range(0, lo, lo + 0.2));
+    const auto start =
+        static_cast<sim::NodeId>(rng.uniform_int(0, kServers - 1));
+    if (i % 2 == 0) {  // two open-loop queries ahead of it at `start`
+      Query wide;
+      wide.add(Predicate::range(0, 0.0, 1.0));
+      fed.issue_query(wide, start);
+      fed.issue_query(q, start);
+    }
+    const auto out = fed.run_query(q, start);
+    ASSERT_TRUE(out.complete);
+    ASSERT_NE(out.trace_id, 0u);
+    expect_paths_match_whole_ring(fed, out);
+    if (out.forwarding_path && out.forwarding_path->complete) {
+      ++complete_paths;
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  EXPECT_GE(complete_paths, 200u);
+  // The refresh waves ran between the queries and shared the ring.
+  EXPECT_GT(fed.trace()->dropped(), 0u);
+}
+
+TEST(TraceEndToEnd, QueryLargerThanTheRingHasNoCompletePathEitherWay) {
+  auto params = traced_params(16);
+  params.config.collect_results = true;
+  Federation fed(params);
+  fed.add_servers(12);
+  seed_identifiable(fed, 12);
+  fed.start();
+  fed.stabilize();
+  fed.set_refresh_paused(true);
+
+  Query q;
+  q.add(Predicate::range(0, 0.0, 1.0));
+  const auto out = fed.run_query(q, 5);
+  ASSERT_TRUE(out.complete);
+  ASSERT_TRUE(out.forwarding_path.has_value());
+  EXPECT_FALSE(out.forwarding_path->complete);
+  expect_paths_match_whole_ring(fed, out);
 }
 
 TEST(ChromeExport, FederationDumpIsValidAndWellOrdered) {
