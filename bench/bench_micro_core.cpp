@@ -55,6 +55,20 @@ void BM_HistogramRangeMatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramRangeMatch);
 
+// The test a pruned branch pays: 100 values cluster in [0.6, 0.7), and
+// every probe's 250-bucket window lies below them.
+void BM_HistogramRangeMiss(benchmark::State& state) {
+  summary::Histogram h(1000, 0.0, 1.0);
+  util::Rng rng(1);
+  for (int i = 0; i < 100; ++i) h.add(rng.uniform(0.6, 0.7));
+  double lo = 0.05;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(h.matches_range(lo, lo + 0.25));
+    lo = lo > 0.3 ? 0.05 : lo + 0.01;
+  }
+}
+BENCHMARK(BM_HistogramRangeMiss);
+
 void BM_BloomAddProbe(benchmark::State& state) {
   summary::BloomFilter bloom(4096, 4);
   int i = 0;

@@ -1,5 +1,7 @@
 #include "obs/trace.h"
 
+#include <algorithm>
+#include <iterator>
 #include <stdexcept>
 
 #include "obs/metrics.h"
@@ -103,6 +105,12 @@ void TraceBuffer::record(TraceEvent event) {
     if (drop_counters_[k] != nullptr) drop_counters_[k]->inc();
   }
   ring_.push_back(std::move(event));
+  ++recorded_;
+}
+
+std::uint64_t TraceBuffer::recorded() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return recorded_;
 }
 
 std::uint64_t TraceBuffer::next_span() {
@@ -123,12 +131,22 @@ std::vector<TraceEvent> TraceBuffer::span_events(std::uint64_t span) const {
   return out;
 }
 
-std::vector<TraceEvent> TraceBuffer::trace_events(std::uint64_t trace) const {
+std::vector<TraceEvent> TraceBuffer::trace_events(std::uint64_t trace,
+                                                  std::uint64_t since) const {
   std::lock_guard<std::mutex> lock(mutex_);
+  // ring_[i] was recorded at position oldest + i.
+  const std::uint64_t oldest = recorded_ - ring_.size();
+  const std::uint64_t skip =
+      since > oldest ? std::min<std::uint64_t>(since - oldest, ring_.size())
+                     : 0;
+  const auto begin = ring_.begin() + static_cast<std::ptrdiff_t>(skip);
+  const auto in_trace = [trace](const TraceEvent& ev) {
+    return ev.trace == trace;
+  };
   std::vector<TraceEvent> out;
-  for (const auto& ev : ring_) {
-    if (ev.trace == trace) out.push_back(ev);
-  }
+  out.reserve(static_cast<std::size_t>(
+      std::count_if(begin, ring_.end(), in_trace)));
+  std::copy_if(begin, ring_.end(), std::back_inserter(out), in_trace);
   return out;
 }
 

@@ -4,7 +4,9 @@
 // spans (start, per-hop arrival with latency, redirects including
 // summary false positives, completion). Bounded capacity + eviction
 // keeps long simulations at O(capacity) memory; the dropped() counters
-// say how much history was lost, per event kind.
+// say how much history was lost, per event kind. recorded() numbers the
+// events as they arrive, so a reader can mark a position and later read
+// only what was recorded after it (trace_events' `since`).
 //
 // Causal tracing: every event carries (trace, span, parent) so the
 // flat stream reconstructs into parent-child span trees (obs::SpanTree).
@@ -143,6 +145,10 @@ class TraceBuffer {
   /// Appends an event, evicting the oldest when full. Thread-safe.
   void record(TraceEvent event);
 
+  /// Events recorded so far, evicted or not: the position the next
+  /// event takes. Only grows; clear() does not reset it.
+  std::uint64_t recorded() const;
+
   /// Allocates a fresh span id (1, 2, ...).
   std::uint64_t next_span();
 
@@ -150,8 +156,12 @@ class TraceBuffer {
   std::vector<TraceEvent> events() const;
   /// Oldest-first snapshot restricted to one span id.
   std::vector<TraceEvent> span_events(std::uint64_t span) const;
-  /// Oldest-first snapshot restricted to one causal tree (root span id).
-  std::vector<TraceEvent> trace_events(std::uint64_t trace) const;
+  /// Oldest-first snapshot restricted to one causal tree (root span id),
+  /// among the buffered events recorded at or after position `since`
+  /// (a recorded() value). A `since` older than the oldest buffered
+  /// event reads from the oldest one; only the slice is scanned.
+  std::vector<TraceEvent> trace_events(std::uint64_t trace,
+                                       std::uint64_t since = 0) const;
   /// Oldest-first snapshot restricted to one kind.
   std::vector<TraceEvent> events_of(TraceKind kind) const;
 
@@ -161,6 +171,7 @@ class TraceBuffer {
   const std::size_t capacity_;
   mutable std::mutex mutex_;
   std::deque<TraceEvent> ring_;
+  std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t dropped_kind_[kTraceKindCount] = {};
   class Counter* drop_counters_[kTraceKindCount] = {};

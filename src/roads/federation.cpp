@@ -257,6 +257,9 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
                                               start_server, principal,
                                               config_.collect_results);
   client->set_scope(scope_levels);
+  // start() allocates the query's root span, so every event of its
+  // trace is recorded at or after this position.
+  const std::uint64_t trace_mark = trace_ ? trace_->recorded() : 0;
   client->start(start_server);
   std::size_t guard = 0;
   while (!client->done() && drive_steps(1) > 0) {
@@ -297,11 +300,13 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
 
   // Critical-path attribution (tracing on): rebuild this query's span
   // tree from its own buffered events (each carries the query's root
-  // id) and split the measured latency into network / processing /
-  // queueing / false-positive-detour phases.
+  // id, and all were recorded after trace_mark) and split the measured
+  // latency into network / processing / queueing / false-positive-detour
+  // phases.
   out.trace_id = client->span();
   if (trace_ && out.trace_id != 0) {
-    const auto tree = obs::SpanTree::build(trace_->trace_events(out.trace_id));
+    const auto tree = obs::SpanTree::build(
+        trace_->trace_events(out.trace_id, trace_mark));
     auto fwd = obs::query_critical_path(tree, out.trace_id,
                                         obs::QueryEndpoint::kForwarding);
     if (fwd.complete) {

@@ -95,7 +95,7 @@ bool MultiResHistogram::matches_range(double lo, double hi) const {
 }
 
 std::uint64_t MultiResHistogram::count_in_range(double lo, double hi) const {
-  if (counts_.empty() || total_ == 0 || lo > hi) return 0;
+  if (counts_.empty() || total_ == 0 || !(lo <= hi)) return 0;
   if (hi < domain_min_ || lo > domain_max_) return 0;
   const std::size_t first = bucket_index(std::max(lo, domain_min_));
   const std::size_t last = bucket_index(std::min(hi, domain_max_));

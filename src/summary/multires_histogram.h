@@ -50,9 +50,10 @@ class MultiResHistogram {
   /// Operands must share domain and budget.
   void merge(const MultiResHistogram& other);
 
-  /// Conservative range test (no false negatives).
+  /// Conservative range test (no false negatives); false when
+  /// !(lo <= hi), which includes a NaN bound.
   bool matches_range(double lo, double hi) const;
-  /// Upper bound on summarized values in [lo, hi].
+  /// Upper bound on summarized values in [lo, hi]; 0 when !(lo <= hi).
   std::uint64_t count_in_range(double lo, double hi) const;
 
   /// Sparse wire encoding: 24-byte header + 6 bytes per non-empty

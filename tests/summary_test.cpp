@@ -4,10 +4,15 @@
 // correctness rests on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <latch>
+#include <limits>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "record/query.h"
@@ -150,6 +155,156 @@ TEST(Histogram, WireSizeIndependentOfContent) {
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(0, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Histogram(10, 1.0, 1.0), std::invalid_argument);
+}
+
+// --- Histogram occupancy word ---
+//
+// matches_range answers from a per-block occupancy word and scans only
+// partial edge blocks; count_in_range sums every overlapped counter.
+// After each mutation the two must agree on every probed range.
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// Buckets per block: the smallest power of two giving at most 64.
+std::size_t block_size(std::size_t buckets) {
+  std::size_t block = 1;
+  while ((buckets + block - 1) / block > 64) block *= 2;
+  return block;
+}
+
+/// Ranges over a [0, 1] histogram of `buckets` buckets: whole blocks,
+/// partial blocks, ranges across block edges, single buckets, random
+/// ranges, the whole domain, outside it, infinite and inverted bounds.
+std::vector<std::pair<double, double>> probe_ranges(std::size_t buckets,
+                                                    util::Rng& rng) {
+  const double width = 1.0 / static_cast<double>(buckets);
+  const auto centre = [&](std::size_t i) {
+    return (static_cast<double>(i) + 0.5) * width;
+  };
+  const auto any_bucket = [&] {
+    return static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(buckets) - 1));
+  };
+  std::vector<std::pair<double, double>> out = {
+      {0.0, 1.0},   {-kInf, kInf}, {-kInf, 0.0},  {1.0, kInf},
+      {1.5, 2.0},   {-2.0, -0.5},  {-kInf, -1.0}, {2.0, kInf},
+      {0.7, 0.3},   {kInf, -kInf}, {centre(buckets - 1), centre(0)}};
+  const std::size_t block = block_size(buckets);
+  const std::size_t blocks = (buckets + block - 1) / block;
+  for (int k = 0; k < 6; ++k) {
+    const std::size_t b =
+        k < 2 ? static_cast<std::size_t>(k) * (blocks - 1)
+              : any_bucket() / block;
+    const std::size_t begin = b * block;
+    const std::size_t last = std::min(buckets, begin + block) - 1;
+    out.emplace_back(centre(begin), centre(last));
+    out.emplace_back(static_cast<double>(begin) * width,
+                     static_cast<double>(last + 1) * width);
+    out.emplace_back(centre(begin), centre(begin));
+    if (last > begin) {
+      out.emplace_back(centre(begin + 1), centre(last));
+      out.emplace_back(centre(begin), centre(last - 1));
+    }
+    if (begin > 0) out.emplace_back(centre(begin - 1), centre(last));
+    if (last + 1 < buckets) {
+      out.emplace_back(centre(last), centre(last + 1));
+      out.emplace_back(centre(begin + 1),
+                       centre(std::min(buckets - 1, last + block)));
+    }
+  }
+  for (int k = 0; k < 8; ++k) {
+    auto i = any_bucket();
+    auto j = any_bucket();
+    if (i > j) std::swap(i, j);
+    out.emplace_back(centre(i), centre(j));
+  }
+  return out;
+}
+
+TEST(Histogram, OccupancyWordAgreesWithTheCountersUnderEveryMutator) {
+  const std::size_t kBuckets[] = {1,    7,    63,   64,   65,   100, 1000,
+                                  1023, 1024, 1025, 4000, 4096, 5000};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const std::size_t buckets : kBuckets) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(buckets) + " buckets");
+      util::Rng rng(seed * 7919 + buckets);
+      const double width = 1.0 / static_cast<double>(buckets);
+      const std::size_t block = block_size(buckets);
+      // Values cluster on a few buckets, so most blocks stay empty and
+      // removes empty blocks; a quarter land anywhere, out of the
+      // domain (clamped) included.
+      std::vector<double> hot;
+      for (int k = 0; k < 3; ++k) {
+        hot.push_back(
+            (static_cast<double>(rng.uniform_int(
+                 0, static_cast<std::int64_t>(buckets) - 1)) +
+             0.5) *
+            width);
+      }
+      const auto value = [&] {
+        if (rng.bernoulli(0.25)) return rng.uniform(-0.5, 1.5);
+        return hot[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      };
+
+      Histogram h(buckets, 0.0, 1.0);
+      std::vector<double> held;  // every value h summarizes
+      const auto remove_at = [&](std::size_t i) {
+        h.remove(held[i]);
+        held[i] = held.back();
+        held.pop_back();
+      };
+      for (int step = 0; step < 80; ++step) {
+        const auto op = rng.uniform_int(0, 99);
+        if (op < 40) {
+          held.push_back(value());
+          h.add(held.back());
+        } else if (op < 55 && !held.empty()) {
+          remove_at(static_cast<std::size_t>(rng.uniform_int(
+              0, static_cast<std::int64_t>(held.size()) - 1)));
+        } else if (op < 62 && !held.empty()) {
+          // Empty the block of a held value.
+          const std::size_t b =
+              h.bucket_index(held[static_cast<std::size_t>(rng.uniform_int(
+                  0, static_cast<std::int64_t>(held.size()) - 1))]) /
+              block;
+          for (std::size_t i = held.size(); i-- > 0;) {
+            if (h.bucket_index(held[i]) / block == b) remove_at(i);
+          }
+        } else if (op < 65) {
+          while (!held.empty()) remove_at(held.size() - 1);
+        } else if (op < 77) {
+          Histogram other(buckets, 0.0, 1.0);
+          for (auto n = rng.uniform_int(0, 5); n > 0; --n) {
+            held.push_back(value());
+            other.add(held.back());
+          }
+          if (rng.bernoulli(0.2)) {  // into an uninitialized histogram
+            Histogram fresh;
+            fresh.merge(h);
+            h = fresh;
+          }
+          h.merge(other);
+        } else if (op < 80) {
+          h.clear();
+          held.clear();
+        } else if (op < 90) {
+          const Histogram copy = h;
+          h.clear();
+          h = copy;
+        } else {
+          Histogram moved = std::move(h);
+          h = Histogram();
+          h = std::move(moved);
+        }
+        ASSERT_EQ(h.total(), held.size()) << "step " << step;
+        for (const auto& [lo, hi] : probe_ranges(buckets, rng)) {
+          ASSERT_EQ(h.matches_range(lo, hi), h.count_in_range(lo, hi) > 0)
+              << "step " << step << " [" << lo << ", " << hi << "]";
+        }
+      }
+    }
+  }
 }
 
 // --- MultiResHistogram ---
@@ -505,6 +660,44 @@ TEST(ResourceSummary, MatchesConjunction) {
   Query none;
   none.add(Predicate::range(1, 0.45, 0.55));
   EXPECT_FALSE(s.matches(none));
+}
+
+// A NaN bound fails `lo <= hi`, as in Predicate::matches and the record
+// store: no range test matches it and no count includes it, at every
+// level from the histogram up to the resource summary.
+TEST(ResourceSummary, NanRangeBoundMatchesNothing) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::pair<double, double> kNanRanges[] = {
+      {0.2, nan}, {nan, 0.95}, {nan, nan}};
+  Histogram h(10, 0.0, 1.0);
+  MultiResHistogram m(64, 16, 0.0, 1.0);
+  h.add(0.9);
+  m.add(0.9);
+  ASSERT_TRUE(h.matches_range(0.2, 0.95));
+  ASSERT_TRUE(m.matches_range(0.2, 0.95));
+  for (const auto& [lo, hi] : kNanRanges) {
+    SCOPED_TRACE("[" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+    EXPECT_FALSE(h.matches_range(lo, hi));
+    EXPECT_EQ(h.count_in_range(lo, hi), 0u);
+    EXPECT_FALSE(m.matches_range(lo, hi));
+    EXPECT_EQ(m.count_in_range(lo, hi), 0u);
+  }
+  for (const auto mode :
+       {NumericMode::kHistogram, NumericMode::kMultiResolution}) {
+    SummaryConfig config;
+    config.numeric_mode = mode;
+    const auto s = ResourceSummary::of_records(
+        mixed_schema(), config, {mixed_record(1, "camera", 0.9)});
+    Query sane;
+    sane.add(Predicate::range(1, 0.2, 0.95));
+    ASSERT_TRUE(s.matches(sane));
+    for (const auto& [lo, hi] : kNanRanges) {
+      Query q;
+      q.add(Predicate::range(1, lo, hi));
+      EXPECT_FALSE(q.predicates()[0].matches(AttributeValue(0.9)));
+      EXPECT_FALSE(s.matches(q));
+    }
+  }
 }
 
 TEST(ResourceSummary, EmptySummaryNeverMatches) {

@@ -221,6 +221,71 @@ TEST(CriticalPath, IncompleteWithoutTerminalOrWithBrokenChain) {
           .complete);
 }
 
+// --- Reading one trace from a mark onwards ---
+
+/// Records an event of `trace` whose at_us is its recording position.
+void record_numbered(obs::TraceBuffer& ring, std::uint64_t trace) {
+  ring.record(make_event(static_cast<std::int64_t>(ring.recorded()),
+                         obs::TraceKind::kSpanBegin, trace, trace, 0));
+}
+
+std::vector<std::int64_t> positions(const std::vector<obs::TraceEvent>& evs) {
+  std::vector<std::int64_t> out;
+  for (const auto& ev : evs) out.push_back(ev.at_us);
+  return out;
+}
+
+/// trace_events(t, mark) is the part of trace_events(t) recorded at or
+/// after `mark`, for each of the three interleaved traces.
+void expect_slice_from(const obs::TraceBuffer& ring, std::uint64_t mark) {
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    std::vector<std::int64_t> want;
+    for (const auto pos : positions(ring.trace_events(t))) {
+      if (static_cast<std::uint64_t>(pos) >= mark) want.push_back(pos);
+    }
+    EXPECT_EQ(positions(ring.trace_events(t, mark)), want)
+        << "trace " << t << " since " << mark;
+  }
+}
+
+TEST(TraceBuffer, TraceEventsSinceAMarkReadOnlyWhatFollowsIt) {
+  obs::TraceBuffer ring(8);
+  EXPECT_EQ(ring.recorded(), 0u);
+  for (std::uint64_t i = 0; i < 5; ++i) record_numbered(ring, 1 + i % 3);
+  const std::uint64_t early = ring.recorded();
+  for (std::uint64_t i = 0; i < 15; ++i) record_numbered(ring, 1 + i % 3);
+  ASSERT_EQ(ring.recorded(), 20u);
+  ASSERT_EQ(ring.size(), 8u);
+  ASSERT_EQ(ring.dropped(), 12u);
+
+  // A mark older than the oldest buffered event (position 12) reads
+  // from the oldest one.
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    EXPECT_EQ(positions(ring.trace_events(t, early)),
+              positions(ring.trace_events(t)));
+  }
+  for (std::uint64_t mark = 0; mark <= ring.recorded() + 2; ++mark) {
+    expect_slice_from(ring, mark);
+  }
+  // A mark equal to recorded() reads nothing yet.
+  for (std::uint64_t t = 1; t <= 3; ++t) {
+    EXPECT_TRUE(ring.trace_events(t, ring.recorded()).empty());
+  }
+
+  // clear() empties the ring, but the count keeps going, so a mark
+  // taken before it still splits what is recorded after it.
+  const std::uint64_t before_clear = ring.recorded();
+  record_numbered(ring, 1);
+  ring.clear();
+  EXPECT_EQ(ring.recorded(), before_clear + 1);
+  for (std::uint64_t i = 0; i < 6; ++i) record_numbered(ring, 1 + i % 3);
+  EXPECT_EQ(positions(ring.trace_events(1, before_clear)),
+            (std::vector<std::int64_t>{21, 24}));
+  for (std::uint64_t mark = before_clear; mark <= ring.recorded(); ++mark) {
+    expect_slice_from(ring, mark);
+  }
+}
+
 // --- Chrome trace exporter ---
 
 TEST(ChromeExport, GoldenSmallTrace) {
