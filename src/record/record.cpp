@@ -1,5 +1,6 @@
 #include "record/record.h"
 
+#include <cmath>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,6 +24,10 @@ bool ResourceRecord::conforms_to(const Schema& schema) const {
   if (values_.size() != schema.size()) return false;
   for (std::size_t i = 0; i < values_.size(); ++i) {
     if (values_[i].type() != schema.at(i).type) return false;
+    // NaN has no bucket in any summary; +-inf clamps into the domain.
+    if (values_[i].is_numeric() && std::isnan(values_[i].number())) {
+      return false;
+    }
   }
   return true;
 }

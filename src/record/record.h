@@ -29,7 +29,7 @@ class ResourceRecord {
   void set_value(std::size_t attribute, AttributeValue value);
 
   /// True when the value count and every value's type agree with the
-  /// schema.
+  /// schema and no numeric value is NaN (infinities are allowed).
   bool conforms_to(const Schema& schema) const;
 
   /// Wire footprint: 16-byte header (id + owner + length) plus per-value

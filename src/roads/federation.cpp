@@ -287,16 +287,7 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
   // Load accounting for the telemetry probes: which servers this query
   // touched, plus the completed-count/latency instruments the Timeline
   // turns into per-window query rates and windowed quantiles.
-  if (query_visits_.size() < servers_.size()) {
-    query_visits_.resize(servers_.size(), 0);
-  }
-  for (const auto node : out.contacted) {
-    if (node < query_visits_.size()) ++query_visits_[node];
-  }
-  if (out.complete) {
-    metrics_.counter("roads.query.completed").inc();
-    metrics_.histogram("roads.query.latency_ms").record(out.latency_ms);
-  }
+  note_query_complete(*client);
 
   // Critical-path attribution (tracing on): rebuild this query's span
   // tree from its own buffered events (each carries the query's root

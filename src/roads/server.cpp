@@ -38,8 +38,6 @@ RoadsServer::RoadsServer(sim::NodeId id, const RoadsConfig& config,
           network.metrics().counter("roads.summary.refresh_skipped")),
       summary_push_suppressed_(
           network.metrics().counter("roads.summary.push_suppressed")),
-      summary_delta_slots_(
-          network.metrics().counter("roads.summary.delta_slots")),
       summary_full_rebuilds_(
           network.metrics().counter("roads.summary.full_rebuilds")),
       refresh_us_(network.metrics().histogram("roads.summary.refresh_us")),
@@ -322,10 +320,14 @@ void RoadsServer::refresh_attachment_summaries(bool keepalive) {
 }
 
 SummaryPtr RoadsServer::compute_local_summary() {
-  const auto refresh = store_.refresh_summary(store_summary_, config_.summary);
-  if (refresh.unchanged) summary_refresh_skipped_.inc();
-  if (refresh.full_rebuild) summary_full_rebuilds_.inc();
-  if (refresh.delta_slots > 0) summary_delta_slots_.inc(refresh.delta_slots);
+  const auto version = store_.version();
+  if (store_summary_.initialized() && version == store_summary_version_) {
+    summary_refresh_skipped_.inc();  // store untouched since the last build
+  } else {
+    store_summary_ = store_.summarize(config_.summary);
+    store_summary_version_ = version;
+    summary_full_rebuilds_.inc();
+  }
   // Copy: attachment merges must not pollute the store summary.
   summary::ResourceSummary local = store_summary_;
   for (const auto& att : attachments_) {
@@ -846,19 +848,15 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
   if (config_.query_cache_enabled && mode != QueryMode::kStart &&
       negative_cache_.contains(cache_key(*client, mode),
                                network_.simulator().now())) {
+    // The empty false-positive reply an evaluation would send again.
+    static const auto kNegativeReply = [] {
+      auto reply = std::make_shared<CachedReply>();
+      reply->false_positive = true;
+      return std::shared_ptr<const CachedReply>(std::move(reply));
+    }();
     cache_neg_hits_.inc();
-    query_false_positives_.inc();
     network_.defer(id_, config_.query_cache_hit_delay, "proc",
-                   [this, client] {
-                     network_.send(
-                         id_, client->location(), msg::redirect_reply(0),
-                         sim::Channel::kQuery, [client, server = id_] {
-                           client->on_reply(
-                               server,
-                               std::vector<std::pair<sim::NodeId, QueryMode>>{},
-                               0, false);
-                         });
-                   });
+                   [this, client] { send_reply(client, kNegativeReply); });
     return;
   }
 

@@ -101,12 +101,12 @@ class RoadsServer : public QueryTarget {
   const store::RecordStore& local_store() const { return store_; }
 
   // --- Summary protocol ----------------------------------------------------
-  /// Recomputes local (incrementally, from the store's change log) and
-  /// branch summaries, sends the branch summary to the parent, pushes
-  /// own summaries and stored child summaries to children. Pushes whose
-  /// content digest matches the last one sent are suppressed except on
-  /// keepalive rounds. Runs on the ts timer; tests may call it
-  /// directly.
+  /// Recomputes local (rebuilding the store's summary only when the
+  /// store's version moved) and branch summaries, sends the branch
+  /// summary to the parent, pushes own summaries and stored child
+  /// summaries to children. Pushes whose content digest matches the
+  /// last one sent are suppressed except on keepalive rounds. Runs on
+  /// the ts timer; tests may call it directly.
   void refresh_summaries();
 
   /// `keepalive` tags pushes from a keepalive wave: receivers propagate
@@ -208,9 +208,10 @@ class RoadsServer : public QueryTarget {
   /// processing-delay event under its `proc` span.
   void evaluate_query(const std::shared_ptr<RoadsClient>& client,
                       QueryMode mode);
-  /// Sends a reply, cold or cached: bumps the false-positive and
-  /// shortcut meters it names, sends the redirect reply, and ships the
-  /// result batch after its service time.
+  /// Sends a reply, cold, cached or negative-cached: bumps the
+  /// false-positive and shortcut meters it names (a false positive also
+  /// marks the processing span), sends the redirect reply, and ships
+  /// the result batch after its service time.
   void send_reply(const std::shared_ptr<RoadsClient>& client,
                   std::shared_ptr<const CachedReply> reply);
   /// Releases an evaluation slot and admits the next queued query.
@@ -276,10 +277,9 @@ class RoadsServer : public QueryTarget {
   obs::Counter& joins_;
   obs::Counter& rejoins_;
   obs::Counter& heartbeat_misses_;
-  // Incremental-refresh accounting (§ISSUE: make savings visible).
+  // Refresh accounting: summaries rebuilt or skipped, pushes suppressed.
   obs::Counter& summary_refresh_skipped_;
   obs::Counter& summary_push_suppressed_;
-  obs::Counter& summary_delta_slots_;
   obs::Counter& summary_full_rebuilds_;
   obs::Histogram& refresh_us_;
   // Query-serving counters (admission + digest-keyed cache).
@@ -295,9 +295,10 @@ class RoadsServer : public QueryTarget {
   SummaryPtr local_summary_;
   SummaryPtr branch_summary_;
   overlay::ReplicaStore replicas_;
-  /// Summary of store_ alone (no attachment merges), maintained
-  /// incrementally from the store's change log between refreshes.
+  /// Summary of store_ alone (no attachment merges) and the store
+  /// version it was built at; rebuilt when the version moves.
   summary::ResourceSummary store_summary_;
+  std::uint64_t store_summary_version_ = 0;
   /// Refresh rounds completed; round r is a keepalive wave when
   /// r % summary_keepalive_rounds == 0 (so the first round always is).
   std::uint64_t refresh_round_ = 0;

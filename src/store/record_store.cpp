@@ -30,7 +30,6 @@ void RecordStore::insert(record::ResourceRecord record) {
   ids_.push_back(record.id());
   owners_.push_back(record.owner());
   stored_bytes_ += record.wire_size();
-  if (logging_changes()) changes_added_.push_back(std::move(record));
   ++version_;
 }
 
@@ -59,7 +58,6 @@ void RecordStore::insert_all(const RecordStore& other) {
         columns_[a].categories.push_back(other.columns_[a].categories[from]);
       }
     }
-    if (logging_changes()) changes_added_.push_back(record_at(slot));
     ++version_;
   }
   stored_bytes_ += other.stored_bytes_;
@@ -70,7 +68,6 @@ bool RecordStore::erase(record::RecordId id) {
   if (it == slots_.end()) return false;
   const auto slot = it->second;
   stored_bytes_ -= wire_size_at(slot);
-  if (logging_changes()) changes_removed_.push_back(record_at(slot));
   slots_.erase(it);
   // Swap-remove: the last slot fills the hole.
   const auto last = static_cast<std::uint32_t>(ids_.size() - 1);
@@ -104,11 +101,8 @@ void RecordStore::update(record::ResourceRecord record) {
   const auto slot = it->second;
   stored_bytes_ -= wire_size_at(slot);
   stored_bytes_ += record.wire_size();
-  const bool logging = logging_changes();
-  if (logging) changes_removed_.push_back(record_at(slot));
   owners_[slot] = record.owner();
   store_values(slot, record);
-  if (logging) changes_added_.push_back(std::move(record));
   ++version_;
 }
 
@@ -290,23 +284,17 @@ std::size_t RecordStore::count_matching(const record::Query& q) const {
   return select(q, nullptr).size();
 }
 
-summary::AttributeSummary RecordStore::column_summary(
-    std::size_t attribute, const summary::SummaryConfig& config) const {
-  const auto& def = schema_.at(attribute);
-  summary::AttributeSummary slot(def, config);
-  if (is_numeric(def)) {
-    slot.add_all(columns_[attribute].numbers);
-  } else {
-    slot.add_all(columns_[attribute].categories);
-  }
-  return slot;
-}
-
 summary::ResourceSummary RecordStore::summarize(
     const summary::SummaryConfig& config) const {
   std::vector<summary::AttributeSummary> slots;
   for (const auto attribute : schema_.searchable_indices()) {
-    slots.push_back(column_summary(attribute, config));
+    const auto& def = schema_.at(attribute);
+    auto& slot = slots.emplace_back(def, config);
+    if (is_numeric(def)) {
+      slot.add_all(columns_[attribute].numbers);
+    } else {
+      slot.add_all(columns_[attribute].categories);
+    }
   }
   return summary::ResourceSummary::of_slots(schema_, std::move(slots),
                                             size());
@@ -325,50 +313,6 @@ std::vector<record::ResourceRecord> RecordStore::snapshot() const {
   std::vector<record::ResourceRecord> out;
   out.reserve(order.size());
   for (const auto slot : order) out.push_back(record_at(slot));
-  return out;
-}
-
-bool RecordStore::logging_changes() {
-  if (changes_overflowed_) return false;
-  // Past half the store (with a floor so tiny stores never thrash), a
-  // full rebuild beats replaying the log: drop it and remember why.
-  const std::size_t threshold = std::max<std::size_t>(64, slots_.size() / 2);
-  if (pending_changes() + 2 > threshold) {
-    changes_added_.clear();
-    changes_removed_.clear();
-    changes_overflowed_ = true;
-    return false;
-  }
-  return true;
-}
-
-void RecordStore::clear_changes() {
-  changes_added_.clear();
-  changes_removed_.clear();
-  changes_overflowed_ = false;
-}
-
-SummaryRefresh RecordStore::refresh_summary(
-    summary::ResourceSummary& summary, const summary::SummaryConfig& config) {
-  SummaryRefresh out;
-  if (changes_overflowed_ || !summary.initialized()) {
-    summary = summarize(config);
-    clear_changes();
-    out.full_rebuild = true;
-    return out;
-  }
-  if (changes_added_.empty() && changes_removed_.empty()) {
-    out.unchanged = true;
-    return out;
-  }
-  out.delta_records = pending_changes();
-  const auto rebuild = summary.apply_delta(changes_added_, changes_removed_);
-  for (const auto attribute : rebuild) {
-    summary.replace_slot(attribute, column_summary(attribute, config));
-  }
-  out.rebuilt_slots = rebuild.size();
-  out.delta_slots = summary.slot_count() - rebuild.size();
-  clear_changes();
   return out;
 }
 

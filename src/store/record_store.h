@@ -7,9 +7,11 @@
 // numeric attributes, strings for categorical ones) beside a per-slot
 // id and owner. A query runs one predicate at a time over a selection
 // vector of slots, and a summary is built one column at a time, so
-// neither touches a ResourceRecord; records are rebuilt only for get(),
-// snapshot() and the change log. Erasing moves the last slot into the
-// hole, so the columns never hold dead slots.
+// neither touches a ResourceRecord; records are rebuilt only for get()
+// and snapshot(). Erasing moves the last slot into the hole, so the
+// columns never hold dead slots. The store keeps no change log: a
+// caller that holds a summary compares version() with the version it
+// summarized at and calls summarize() again when it moved.
 #pragma once
 
 #include <cstdint>
@@ -32,16 +34,6 @@ struct QueryStats {
   bool used_index = false;
 };
 
-/// What one refresh_summary() call actually did — the observability
-/// hook for the incremental maintenance path.
-struct SummaryRefresh {
-  bool full_rebuild = false;  ///< scanned every record (first run/overflow)
-  bool unchanged = false;     ///< no pending changes; summary untouched
-  std::size_t delta_records = 0;  ///< changed records applied as deltas
-  std::size_t delta_slots = 0;    ///< slots updated in place
-  std::size_t rebuilt_slots = 0;  ///< non-subtractable slots re-derived
-};
-
 class RecordStore {
  public:
   /// Below this size a query is priced as a full scan; at or above it,
@@ -56,7 +48,9 @@ class RecordStore {
   bool empty() const { return ids_.empty(); }
 
   /// Inserts a record; throws std::invalid_argument if it does not
-  /// conform to the schema or duplicates an existing id.
+  /// conform to the schema or duplicates an existing id. By value: a
+  /// caller that moves records in frees each one here, so a bulk load
+  /// never holds its whole batch beside the columns.
   void insert(record::ResourceRecord record);
 
   /// Inserts every record of `other`, in ascending id order, without
@@ -94,36 +88,14 @@ class RecordStore {
   /// Match count without materializing ids.
   std::size_t count_matching(const record::Query& q) const;
 
-  /// Builds the export summary of the current contents.
+  /// Builds the export summary of the current contents, one pass per
+  /// searchable column.
   summary::ResourceSummary summarize(
       const summary::SummaryConfig& config) const;
 
   /// Monotonic mutation counter; unchanged version means unchanged
   /// contents, so callers can skip refresh work entirely.
   std::uint64_t version() const { return version_; }
-
-  /// Changed records pending in the change log (adds + removes).
-  std::size_t pending_changes() const {
-    return changes_added_.size() + changes_removed_.size();
-  }
-
-  /// True when the change log was dropped because churn since the last
-  /// refresh exceeded the rebuild-is-cheaper threshold.
-  bool changes_overflowed() const { return changes_overflowed_; }
-
-  /// Drops the pending change log (e.g. after the caller rebuilt its
-  /// summary from scratch by other means).
-  void clear_changes();
-
-  /// Brings `summary` up to date with the current contents, doing
-  /// O(changes) work when possible: applies the pending change log as
-  /// exact deltas, re-derives only the slots that cannot subtract
-  /// (Bloom, multi-resolution), and falls back to a full rebuild on the
-  /// first call or after change-log overflow. `summary` must have been
-  /// produced by this store with the same `config` (or be
-  /// default-constructed). Consumes the change log.
-  SummaryRefresh refresh_summary(summary::ResourceSummary& summary,
-                                 const summary::SummaryConfig& config);
 
   /// Every stored record, ascending id order.
   std::vector<record::ResourceRecord> snapshot() const;
@@ -160,14 +132,6 @@ class RecordStore {
   /// searchable numeric attributes.
   bool indexable(const record::Predicate& p) const;
 
-  summary::AttributeSummary column_summary(
-      std::size_t attribute, const summary::SummaryConfig& config) const;
-
-  /// Whether the change log takes the next change. Drops the log (and
-  /// returns false from then on) once churn since the last refresh
-  /// passes the point where a full rebuild is cheaper.
-  bool logging_changes();
-
   record::Schema schema_;
   std::vector<Column> columns_;          // one per schema attribute
   std::vector<record::RecordId> ids_;    // by slot
@@ -176,11 +140,6 @@ class RecordStore {
 
   std::uint64_t version_ = 0;
   std::uint64_t stored_bytes_ = 0;  // maintained on insert/erase/update
-  /// Record copies changed since the last refresh_summary(); the delta
-  /// fed to ResourceSummary::apply_delta.
-  std::vector<record::ResourceRecord> changes_added_;
-  std::vector<record::ResourceRecord> changes_removed_;
-  bool changes_overflowed_ = true;  // first refresh is always a full build
 };
 
 }  // namespace roads::store

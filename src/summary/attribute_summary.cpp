@@ -70,28 +70,6 @@ void AttributeSummary::add_all(const std::vector<std::string>& values) {
   }
 }
 
-void AttributeSummary::remove(const record::AttributeValue& value) {
-  if (auto* h = std::get_if<Histogram>(&repr_)) {
-    h->remove(value.number());
-  } else if (auto* s = std::get_if<ValueSet>(&repr_)) {
-    s->remove(value.category());
-  } else if (std::holds_alternative<BloomFilter>(repr_)) {
-    throw std::logic_error("AttributeSummary: Bloom filters cannot remove");
-  } else if (std::holds_alternative<MultiResHistogram>(repr_)) {
-    // Coarsening is irreversible; soft-state refresh rebuilds instead.
-    throw std::logic_error(
-        "AttributeSummary: multi-resolution histograms cannot remove");
-  } else {
-    throw std::logic_error(
-        "AttributeSummary: remove on uninitialized summary");
-  }
-}
-
-bool AttributeSummary::supports_remove() const {
-  return std::holds_alternative<Histogram>(repr_) ||
-         std::holds_alternative<ValueSet>(repr_);
-}
-
 void AttributeSummary::hash_into(util::Fnv1a& h) const {
   // Tag the alternative so e.g. an empty ValueSet and an empty Bloom
   // filter never collide trivially.

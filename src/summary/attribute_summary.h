@@ -1,7 +1,9 @@
 // Per-attribute summary: histogram for numeric attributes, ValueSet or
 // BloomFilter for categorical ones. AttributeSummary hides the choice
 // behind one interface so ResourceSummary can evaluate any predicate
-// against any attribute uniformly.
+// against any attribute uniformly. Every representation grows only
+// (add, merge) or empties (clear); none subtracts, so a summary of
+// changed data is rebuilt from the data.
 #pragma once
 
 #include <cstdint>
@@ -58,15 +60,8 @@ class AttributeSummary {
   /// A whole column at once: the same as add() on each value in order.
   void add_all(const std::vector<double>& values);
   void add_all(const std::vector<std::string>& values);
-  void remove(const record::AttributeValue& value);
   void merge(const AttributeSummary& other);
   void clear();
-
-  /// True when remove() works for this representation. Histograms and
-  /// value sets subtract exactly; Bloom filters and multi-resolution
-  /// histograms are lossy-aggregating and must be rebuilt instead —
-  /// the distinction the incremental refresh path pivots on.
-  bool supports_remove() const;
 
   /// Folds the representation's full content into a digest.
   void hash_into(util::Fnv1a& h) const;

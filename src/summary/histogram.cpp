@@ -28,22 +28,6 @@ Histogram::Histogram(std::size_t buckets, double domain_min, double domain_max)
   while (((buckets - 1) >> block_shift_) >= 64) ++block_shift_;
 }
 
-void Histogram::remove(double value) {
-  const std::size_t index = bucket_index(value);
-  auto& slot = counts_[index];
-  if (slot == 0) {
-    throw std::logic_error("Histogram: removing from an empty bucket");
-  }
-  --slot;
-  --total_;
-  if (slot != 0) return;
-  const std::size_t block = index >> block_shift_;
-  if (!any_in_block(block << block_shift_,
-                    std::min(counts_.size(), (block + 1) << block_shift_))) {
-    occupied_ &= ~(std::uint64_t{1} << block);
-  }
-}
-
 void Histogram::clear() {
   std::fill(counts_.begin(), counts_.end(), 0);
   total_ = 0;

@@ -11,8 +11,9 @@
 // occupancy word keeps one bit per block: bit b is set iff some counter
 // in block b is non-zero. The range test reads the word for the blocks
 // a range covers whole and scans counters only in its two partial edge
-// blocks, and only when their bit is set. The word is derived from the
-// counters: the digest and wire size never read it.
+// blocks, and only when their bit is set. Counters never decrease, so
+// add and merge set bits and only clear clears them. The word is
+// derived from the counters: the digest and wire size never read it.
 #pragma once
 
 #include <algorithm>
@@ -47,7 +48,6 @@ class Histogram {
     occupied_ |= std::uint64_t{1} << (index >> block_shift_);
     ++total_;
   }
-  void remove(double value);
   void clear();
 
   /// Element-wise counter addition; both histograms must share bucket

@@ -64,62 +64,6 @@ void ResourceSummary::add(const record::ResourceRecord& record) {
   ++record_count_;
 }
 
-void ResourceSummary::remove(const record::ResourceRecord& record) {
-  digest_memo_.reset();
-  if (record_count_ == 0) {
-    throw std::logic_error("ResourceSummary: remove from empty summary");
-  }
-  for (std::size_t i = 0; i < slot_index_.size(); ++i) {
-    if (slot_index_[i] == kNotSearchable) continue;
-    slots_[slot_index_[i]].remove(record.value(i));
-  }
-  --record_count_;
-}
-
-std::vector<std::size_t> ResourceSummary::apply_delta(
-    const std::vector<record::ResourceRecord>& added,
-    const std::vector<record::ResourceRecord>& removed) {
-  digest_memo_.reset();
-  for (const auto* batch : {&added, &removed}) {
-    for (const auto& r : *batch) {
-      if (r.values().size() < slot_index_.size()) {
-        throw std::invalid_argument(
-            "ResourceSummary: record too short for schema");
-      }
-    }
-  }
-  if (record_count_ + added.size() < removed.size()) {
-    throw std::logic_error("ResourceSummary: delta removes more than held");
-  }
-  std::vector<std::size_t> rebuild;
-  for (std::size_t i = 0; i < slot_index_.size(); ++i) {
-    if (slot_index_[i] == kNotSearchable) continue;
-    auto& slot = slots_[slot_index_[i]];
-    if (!removed.empty() && !slot.supports_remove()) {
-      rebuild.push_back(i);
-      continue;
-    }
-    // Adds before removes: a batch may remove a value it also adds
-    // (insert-then-update of the same record), which is only in the
-    // slot once the add has landed.
-    for (const auto& r : added) slot.add(r.value(i));
-    for (const auto& r : removed) slot.remove(r.value(i));
-  }
-  record_count_ += added.size();
-  record_count_ -= removed.size();
-  return rebuild;
-}
-
-void ResourceSummary::replace_slot(std::size_t attribute,
-                                   AttributeSummary slot) {
-  digest_memo_.reset();
-  if (attribute >= slot_index_.size() ||
-      slot_index_[attribute] == kNotSearchable) {
-    throw std::out_of_range("ResourceSummary: attribute has no summary slot");
-  }
-  slots_[slot_index_[attribute]] = std::move(slot);
-}
-
 std::uint64_t ResourceSummary::digest() const {
   if (const auto memo = digest_memo_.get(); memo != DigestMemo::kNone) {
     return memo;

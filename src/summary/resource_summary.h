@@ -4,7 +4,9 @@
 // query matches iff every one of its predicates matches the
 // corresponding attribute summary (conjunction over all queried
 // dimensions, which is what lets ROADS confine search scope using every
-// dimension at once).
+// dimension at once). A summary only grows (add, merge) or empties
+// (clear); nothing subtracts, so the summary of changed records is
+// rebuilt (RecordStore::summarize, when the store's version moved).
 #pragma once
 
 #include <atomic>
@@ -39,36 +41,16 @@ class ResourceSummary {
 
   bool initialized() const { return !slots_.empty(); }
   bool empty() const;
-  /// Number of records folded in (via add/merge minus remove).
+  /// Number of records folded in (via add/merge).
   std::uint64_t record_count() const { return record_count_; }
 
-  /// Folds one record's searchable values in / out.
+  /// Folds one record's searchable values in.
   void add(const record::ResourceRecord& record);
-  void remove(const record::ResourceRecord& record);
 
   /// Aggregates another summary (histogram counter addition, set union,
   /// Bloom OR) — the bottom-up merge of the hierarchy.
   void merge(const ResourceSummary& other);
   void clear();
-
-  /// Incremental maintenance: applies `added`/`removed` as exact
-  /// deltas to every slot that supports subtraction and returns the
-  /// schema attributes whose slots cannot subtract (Bloom filters,
-  /// multi-resolution histograms) and therefore must be rebuilt by the
-  /// caller from the surviving record set (see replace_slot). When
-  /// `removed` is empty every slot takes the delta and the result is
-  /// empty. Adjusts record_count. O(changes x slots), independent of
-  /// how many records the summary already covers.
-  std::vector<std::size_t> apply_delta(
-      const std::vector<record::ResourceRecord>& added,
-      const std::vector<record::ResourceRecord>& removed);
-
-  /// Replaces one attribute's slot with a freshly built summary — the
-  /// rebuild half of the incremental path for non-subtractable slots.
-  void replace_slot(std::size_t attribute, AttributeSummary slot);
-
-  /// Number of attribute slots (searchable attributes of the schema).
-  std::size_t slot_count() const { return slots_.size(); }
 
   /// 64-bit content digest over record count and every slot's payload:
   /// equal content gives equal digests, so the refresh protocol can

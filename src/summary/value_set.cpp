@@ -1,21 +1,10 @@
 #include "summary/value_set.h"
 
-#include <stdexcept>
-
 namespace roads::summary {
 
 void ValueSet::add(const std::string& value) {
   ++counts_[value];
   ++total_;
-}
-
-void ValueSet::remove(const std::string& value) {
-  auto it = counts_.find(value);
-  if (it == counts_.end()) {
-    throw std::logic_error("ValueSet: removing an absent value");
-  }
-  if (--it->second == 0) counts_.erase(it);
-  --total_;
 }
 
 void ValueSet::clear() {

@@ -1,8 +1,8 @@
 // Enumerated value-set summary for categorical attributes (§III-B).
-// Stores every distinct value with a reference count so summaries can
-// also be decremented when soft state ages out. Merging is multiset
-// union. Appropriate when the number of distinct values is limited;
-// BloomFilter is the compressed alternative.
+// Stores every distinct value with its count; the digest and the wire
+// size carry the counts. Merging is multiset union. Appropriate when
+// the number of distinct values is limited; BloomFilter is the
+// compressed alternative.
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@ class ValueSet {
   std::uint64_t total() const { return total_; }
 
   void add(const std::string& value);
-  void remove(const std::string& value);
   void clear();
 
   void merge(const ValueSet& other);

@@ -110,6 +110,12 @@ TEST(ResourceRecord, ConformsToSchema) {
   // Wrong arity.
   ResourceRecord shorter(3, 7, {AttributeValue(std::string("camera"))});
   EXPECT_FALSE(shorter.conforms_to(schema));
+  // A NaN numeric value; infinities conform (summaries clamp them).
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_FALSE(camera(4, "camera", std::numeric_limits<double>::quiet_NaN(),
+                      640)
+                   .conforms_to(schema));
+  EXPECT_TRUE(camera(5, "camera", inf, -inf).conforms_to(schema));
 }
 
 TEST(ResourceRecord, ValueAccessAndMutation) {

@@ -446,6 +446,39 @@ TEST(Protocol, SingleChangeRepropagatesExactlyTheBranchPath) {
             1u);
 }
 
+// A refresh rebuilds the store summary from the columns exactly when
+// the store's version moved since the last build.
+TEST(Protocol, StoreSummaryRebuiltExactlyWhenTheStoreVersionMoved) {
+  const auto params = proto_params();
+  Federation fed(params);
+  fed.add_servers(1);
+  auto& server = fed.server(0);
+  for (record::RecordId id = 1; id <= 5; ++id) {
+    server.local_store().insert(rec(id, static_cast<double>(id) / 10.0));
+  }
+  auto& metrics = fed.network().metrics();
+  const auto& rebuilds = metrics.counter("roads.summary.full_rebuilds");
+  const auto& skipped = metrics.counter("roads.summary.refresh_skipped");
+
+  server.refresh_summaries();  // the first refresh builds
+  EXPECT_EQ(rebuilds.value(), 1u);
+  EXPECT_EQ(skipped.value(), 0u);
+  server.refresh_summaries();  // an untouched store does not
+  EXPECT_EQ(rebuilds.value(), 1u);
+  EXPECT_EQ(skipped.value(), 1u);
+
+  // An out-of-band rewrite, as the staleness attacks make.
+  server.local_store().update(rec(3, 0.95));
+  server.refresh_summaries();
+  EXPECT_EQ(rebuilds.value(), 2u);
+  EXPECT_EQ(skipped.value(), 1u);
+  const auto& store = server.local_store();
+  const auto expected = summary::ResourceSummary::of_records(
+      store.schema(), params.config.summary, store.snapshot());
+  ASSERT_NE(server.local_summary(), nullptr);
+  EXPECT_EQ(server.local_summary()->digest(), expected.digest());
+}
+
 TEST(Protocol, SuppressionKeepsReplicasAliveUnderMaintenance) {
   // K x period (30s) < ttl (35s): keepalive waves must renew replica
   // TTLs even though intermediate rounds are silent.

@@ -50,6 +50,20 @@ TEST(RecordStore, RejectsDuplicatesAndNonConforming) {
                std::invalid_argument);
   ResourceRecord bad(2, 1, {AttributeValue(0.1)});
   EXPECT_THROW(store.insert(bad), std::invalid_argument);
+  // A NaN value has no summary bucket: rejected on insert and on
+  // update, leaving the store as it was.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const auto version = store.version();
+  const auto bytes = store.stored_bytes();
+  EXPECT_THROW(store.insert(rec4(3, 0.5, nan, 0.5, 0.5)),
+               std::invalid_argument);
+  EXPECT_THROW(store.update(rec4(1, nan, 0.2, 0.3, 0.4)),
+               std::invalid_argument);
+  EXPECT_EQ(store.size(), 1u);
+  EXPECT_FALSE(store.contains(3));
+  EXPECT_EQ(store.version(), version);
+  EXPECT_EQ(store.stored_bytes(), bytes);
+  EXPECT_DOUBLE_EQ(store.get(1).value(0).number(), 0.1);
 }
 
 TEST(RecordStore, UpdateReplacesValues) {
@@ -206,69 +220,6 @@ TEST(RecordStore, VersionAdvancesOnEveryMutation) {
   EXPECT_EQ(store.version(), v3);
 }
 
-TEST(RecordStore, RefreshSummaryFullThenIncrementalThenUnchanged) {
-  RecordStore store(small_schema());
-  summary::SummaryConfig config;
-  config.histogram_buckets = 10;
-  for (int i = 1; i <= 200; ++i) {
-    store.insert(rec4(static_cast<record::RecordId>(i), (i % 10) / 10.0, 0.5,
-                      0.5, 0.5));
-  }
-  summary::ResourceSummary s;
-  // First refresh builds from scratch.
-  auto stats = store.refresh_summary(s, config);
-  EXPECT_TRUE(stats.full_rebuild);
-  EXPECT_EQ(s.record_count(), 200u);
-
-  // No mutations: the refresh is a no-op.
-  stats = store.refresh_summary(s, config);
-  EXPECT_TRUE(stats.unchanged);
-  EXPECT_FALSE(stats.full_rebuild);
-
-  // A small batch takes the delta path: every slot subtracts exactly
-  // (all-numeric schema -> no rebuilds) and the result matches a full
-  // recompute bit for bit.
-  store.erase(1);
-  store.insert(rec4(900, 0.35, 0.5, 0.5, 0.5));
-  store.update(rec4(2, 0.95, 0.5, 0.5, 0.5));
-  stats = store.refresh_summary(s, config);
-  EXPECT_FALSE(stats.full_rebuild);
-  EXPECT_FALSE(stats.unchanged);
-  EXPECT_EQ(stats.delta_records, 4u);  // 1 erase + 1 insert + update (2)
-  EXPECT_EQ(stats.rebuilt_slots, 0u);
-  EXPECT_EQ(stats.delta_slots, s.slot_count());
-  const auto expected =
-      summary::ResourceSummary::of_records(small_schema(), config,
-                                           store.snapshot());
-  EXPECT_EQ(s.digest(), expected.digest());
-}
-
-TEST(RecordStore, RefreshSummaryFallsBackOnChangeOverflow) {
-  RecordStore store(small_schema());
-  summary::SummaryConfig config;
-  config.histogram_buckets = 10;
-  for (int i = 1; i <= 100; ++i) {
-    store.insert(rec4(static_cast<record::RecordId>(i), 0.5, 0.5, 0.5, 0.5));
-  }
-  summary::ResourceSummary s;
-  (void)store.refresh_summary(s, config);
-
-  // Churn more than the store's rebuild-is-cheaper threshold: the log
-  // is dropped and the next refresh rebuilds — and is still correct.
-  for (int i = 1; i <= 100; ++i) {
-    store.update(rec4(static_cast<record::RecordId>(i), (i % 7) / 7.0, 0.5,
-                      0.5, 0.5));
-  }
-  EXPECT_TRUE(store.changes_overflowed());
-  const auto stats = store.refresh_summary(s, config);
-  EXPECT_TRUE(stats.full_rebuild);
-  const auto expected =
-      summary::ResourceSummary::of_records(small_schema(), config,
-                                           store.snapshot());
-  EXPECT_EQ(s.digest(), expected.digest());
-  EXPECT_FALSE(store.changes_overflowed());
-}
-
 // The row store's index walk took an inverted range's negative index
 // distance as its candidate count on stores at or above the threshold,
 // and walked past the end of the index.
@@ -338,23 +289,18 @@ TEST(RecordStore, InsertAllMatchesInsertingTheSnapshot) {
   config.categorical_mode = summary::CategoricalMode::kBloom;
   RecordStore bulk(mixed_schema());
   RecordStore one_by_one(mixed_schema());
-  summary::ResourceSummary bulk_summary, one_by_one_summary;
   for (auto* store : {&bulk, &one_by_one}) {
     util::Rng same(9);
     for (const record::RecordId id : {3, 60}) {
       store->insert(random_record(same, id));
     }
   }
-  // A live change log, so both sides log the inserted records.
-  (void)bulk.refresh_summary(bulk_summary, config);
-  (void)one_by_one.refresh_summary(one_by_one_summary, config);
 
   bulk.insert_all(source);
   for (auto& r : source.snapshot()) one_by_one.insert(std::move(r));
   ASSERT_EQ(bulk.size(), 7u);
   EXPECT_EQ(bulk.version(), one_by_one.version());
   EXPECT_EQ(bulk.stored_bytes(), one_by_one.stored_bytes());
-  EXPECT_EQ(bulk.pending_changes(), one_by_one.pending_changes());
   const auto got = bulk.snapshot();
   const auto want = one_by_one.snapshot();
   for (std::size_t i = 0; i < want.size(); ++i) {
@@ -362,9 +308,8 @@ TEST(RecordStore, InsertAllMatchesInsertingTheSnapshot) {
     EXPECT_EQ(got[i].owner(), want[i].owner());
     EXPECT_EQ(got[i].values(), want[i].values());
   }
-  (void)bulk.refresh_summary(bulk_summary, config);
-  (void)one_by_one.refresh_summary(one_by_one_summary, config);
-  EXPECT_EQ(bulk_summary.digest(), one_by_one_summary.digest());
+  EXPECT_EQ(bulk.summarize(config).digest(),
+            one_by_one.summarize(config).digest());
 
   // A duplicate id or another schema shape rejects the whole batch.
   const auto version = bulk.version();
@@ -445,9 +390,9 @@ QueryStats expected_stats(const record::Schema& schema, const Query& q,
 }
 
 void check_against_model(
-    RecordStore& store, const std::map<record::RecordId, ResourceRecord>& model,
-    const summary::SummaryConfig& config, summary::ResourceSummary& refreshed,
-    util::Rng& rng) {
+    const RecordStore& store,
+    const std::map<record::RecordId, ResourceRecord>& model,
+    const summary::SummaryConfig& config, util::Rng& rng) {
   std::vector<ResourceRecord> records;
   std::uint64_t bytes = 0;
   for (const auto& [id, r] : model) {
@@ -482,8 +427,6 @@ void check_against_model(
   const auto reference =
       summary::ResourceSummary::of_records(store.schema(), config, records);
   EXPECT_EQ(store.summarize(config).digest(), reference.digest());
-  (void)store.refresh_summary(refreshed, config);
-  EXPECT_EQ(refreshed.digest(), reference.digest());
 }
 
 TEST(RecordStore, DifferentialSweepAgainstRecordModel) {
@@ -492,14 +435,11 @@ TEST(RecordStore, DifferentialSweepAgainstRecordModel) {
     util::Rng rng(seed);
     summary::SummaryConfig config;
     config.histogram_buckets = 16;
-    // Bloom slots cannot subtract, so refresh_summary rebuilds them from
-    // the columns; enumerated ones take the exact delta.
     config.categorical_mode = seed % 2 == 0
                                   ? summary::CategoricalMode::kBloom
                                   : summary::CategoricalMode::kEnumerate;
     RecordStore store(mixed_schema());
     std::map<record::RecordId, ResourceRecord> model;
-    summary::ResourceSummary refreshed;
     record::RecordId next_id = 1;
 
     const auto insert = [&] {
@@ -555,7 +495,7 @@ TEST(RecordStore, DifferentialSweepAgainstRecordModel) {
       }
     };
     const auto check = [&] {
-      check_against_model(store, model, config, refreshed, rng);
+      check_against_model(store, model, config, rng);
     };
 
     // Small stores, down to the only record and an empty store.

@@ -129,14 +129,6 @@ TEST(Histogram, MergeWithUninitialized) {
   EXPECT_EQ(c.total(), 0u);
 }
 
-TEST(Histogram, RemoveDecrementsAndThrowsOnEmpty) {
-  Histogram h(10, 0.0, 1.0);
-  h.add(0.5);
-  h.remove(0.5);
-  EXPECT_TRUE(h.empty());
-  EXPECT_THROW(h.remove(0.5), std::logic_error);
-}
-
 TEST(Histogram, CountInRange) {
   Histogram h(10, 0.0, 1.0);
   for (double v = 0.05; v < 1.0; v += 0.1) h.add(v);  // one per bucket
@@ -230,10 +222,9 @@ TEST(Histogram, OccupancyWordAgreesWithTheCountersUnderEveryMutator) {
                    std::to_string(buckets) + " buckets");
       util::Rng rng(seed * 7919 + buckets);
       const double width = 1.0 / static_cast<double>(buckets);
-      const std::size_t block = block_size(buckets);
-      // Values cluster on a few buckets, so most blocks stay empty and
-      // removes empty blocks; a quarter land anywhere, out of the
-      // domain (clamped) included.
+      // Values cluster on a few buckets, so most blocks stay empty
+      // until a clear; a quarter land anywhere, out of the domain
+      // (clamped) included.
       std::vector<double> hot;
       for (int k = 0; k < 3; ++k) {
         hot.push_back(
@@ -249,31 +240,12 @@ TEST(Histogram, OccupancyWordAgreesWithTheCountersUnderEveryMutator) {
 
       Histogram h(buckets, 0.0, 1.0);
       std::vector<double> held;  // every value h summarizes
-      const auto remove_at = [&](std::size_t i) {
-        h.remove(held[i]);
-        held[i] = held.back();
-        held.pop_back();
-      };
       for (int step = 0; step < 80; ++step) {
         const auto op = rng.uniform_int(0, 99);
-        if (op < 40) {
+        if (op < 50) {
           held.push_back(value());
           h.add(held.back());
-        } else if (op < 55 && !held.empty()) {
-          remove_at(static_cast<std::size_t>(rng.uniform_int(
-              0, static_cast<std::int64_t>(held.size()) - 1)));
-        } else if (op < 62 && !held.empty()) {
-          // Empty the block of a held value.
-          const std::size_t b =
-              h.bucket_index(held[static_cast<std::size_t>(rng.uniform_int(
-                  0, static_cast<std::int64_t>(held.size()) - 1))]) /
-              block;
-          for (std::size_t i = held.size(); i-- > 0;) {
-            if (h.bucket_index(held[i]) / block == b) remove_at(i);
-          }
         } else if (op < 65) {
-          while (!held.empty()) remove_at(held.size() - 1);
-        } else if (op < 77) {
           Histogram other(buckets, 0.0, 1.0);
           for (auto n = rng.uniform_int(0, 5); n > 0; --n) {
             held.push_back(value());
@@ -285,10 +257,10 @@ TEST(Histogram, OccupancyWordAgreesWithTheCountersUnderEveryMutator) {
             h = fresh;
           }
           h.merge(other);
-        } else if (op < 80) {
+        } else if (op < 73) {
           h.clear();
           held.clear();
-        } else if (op < 90) {
+        } else if (op < 87) {
           const Histogram copy = h;
           h.clear();
           h = copy;
@@ -426,7 +398,6 @@ TEST(AttributeSummary, MultiResolutionDispatch) {
   s.add(AttributeValue(0.5));
   EXPECT_TRUE(s.matches(Predicate::range(0, 0.45, 0.55)));
   EXPECT_FALSE(s.matches(Predicate::range(0, 0.8, 0.9)));
-  EXPECT_THROW(s.remove(AttributeValue(0.5)), std::logic_error);
 }
 
 TEST(ResourceSummary, MultiResolutionModeEndToEnd) {
@@ -461,7 +432,7 @@ TEST(ResourceSummary, MultiResolutionModeEndToEnd) {
 
 // --- ValueSet ---
 
-TEST(ValueSet, AddContainsRemove) {
+TEST(ValueSet, AddContainsClear) {
   ValueSet s;
   s.add("MPEG2");
   s.add("MPEG2");
@@ -470,11 +441,11 @@ TEST(ValueSet, AddContainsRemove) {
   EXPECT_EQ(s.count("MPEG2"), 2u);
   EXPECT_EQ(s.distinct_count(), 2u);
   EXPECT_EQ(s.total(), 3u);
-  s.remove("MPEG2");
-  EXPECT_TRUE(s.contains("MPEG2"));
-  s.remove("MPEG2");
+  s.clear();
   EXPECT_FALSE(s.contains("MPEG2"));
-  EXPECT_THROW(s.remove("MPEG2"), std::logic_error);
+  EXPECT_EQ(s.count("MPEG2"), 0u);
+  EXPECT_TRUE(s.empty());
+  EXPECT_EQ(s.total(), 0u);
 }
 
 TEST(ValueSet, MergeIsMultisetUnion) {
@@ -580,7 +551,7 @@ TEST(AttributeSummary, NumericDispatch) {
   EXPECT_FALSE(s.matches(Predicate::range(0, 0.8, 0.9)));
   // Range predicates never match categorical summaries and vice versa.
   EXPECT_FALSE(s.matches(Predicate::equals(0, "x")));
-  s.remove(AttributeValue(0.5));
+  s.clear();
   EXPECT_TRUE(s.empty());
 }
 
@@ -603,9 +574,6 @@ TEST(AttributeSummary, CategoricalBloomDispatch) {
   AttributeSummary s(def, config);
   s.add(AttributeValue(std::string("MPEG2")));
   EXPECT_TRUE(s.matches(Predicate::equals(0, "MPEG2")));
-  // Bloom filters cannot remove.
-  EXPECT_THROW(s.remove(AttributeValue(std::string("MPEG2"))),
-               std::logic_error);
 }
 
 TEST(AttributeSummary, MergeKindMismatchThrows) {
@@ -731,17 +699,6 @@ TEST(ResourceSummary, MergeAggregates) {
   EXPECT_TRUE(a.matches(q));
 }
 
-TEST(ResourceSummary, RemoveUndoesAdd) {
-  SummaryConfig config;
-  ResourceSummary s(mixed_schema(), config);
-  const auto r = mixed_record(1, "camera", 0.2);
-  s.add(r);
-  s.remove(r);
-  EXPECT_EQ(s.record_count(), 0u);
-  EXPECT_TRUE(s.empty());
-  EXPECT_THROW(s.remove(r), std::logic_error);
-}
-
 TEST(ResourceSummary, DigestIndependentOfBuildPath) {
   SummaryConfig config;
   config.histogram_buckets = 20;
@@ -758,15 +715,10 @@ TEST(ResourceSummary, DigestIndependentOfBuildPath) {
   stepped.add(r2);
   EXPECT_EQ(batch.digest(), stepped.digest());
 
-  // And via add-then-remove of an unrelated record.
-  ResourceSummary churned(mixed_schema(), config);
-  const auto extra = mixed_record(9, "sensor", 0.11);
-  churned.add(r1);
-  churned.add(extra);
-  churned.add(r2);
-  churned.remove(extra);
-  churned.add(r3);
-  EXPECT_EQ(batch.digest(), churned.digest());
+  // And by merging summaries of two parts.
+  auto merged = ResourceSummary::of_records(mixed_schema(), config, {r2});
+  merged.merge(ResourceSummary::of_records(mixed_schema(), config, {r3, r1}));
+  EXPECT_EQ(batch.digest(), merged.digest());
 
   // Different content must not collide (for these inputs).
   const auto other =
@@ -792,20 +744,8 @@ TEST(ResourceSummary, DigestMemoFollowsEveryMutator) {
   (void)s.digest();
   s.add(r1);
   EXPECT_EQ(s.digest(), twin({r1})) << "add";
-  s.add(r2);
-  (void)s.digest();
-  s.remove(r1);
-  EXPECT_EQ(s.digest(), twin({r2})) << "remove";
   s.merge(ResourceSummary::of_records(schema, config, {r3}));
-  EXPECT_EQ(s.digest(), twin({r2, r3})) << "merge";
-  EXPECT_TRUE(s.apply_delta({r1}, {}).empty());
-  EXPECT_EQ(s.digest(), twin({r1, r2, r3})) << "apply_delta";
-  AttributeSummary rate(schema.at(1), config);
-  rate.add(r3.value(1));
-  auto replaced = ResourceSummary::of_records(schema, config, {r1, r2, r3});
-  replaced.replace_slot(1, rate);
-  s.replace_slot(1, std::move(rate));
-  EXPECT_EQ(s.digest(), replaced.digest()) << "replace_slot";
+  EXPECT_EQ(s.digest(), twin({r1, r3})) << "merge";
 
   // A copy of a warm summary, once mutated, digests its own content and
   // leaves the source's digest alone.
@@ -859,48 +799,6 @@ TEST(ResourceSummary, DigestFromConcurrentReaders) {
   }
   for (auto& t : readers) t.join();
   for (const auto d : seen) EXPECT_EQ(d, twin.digest());
-}
-
-TEST(ResourceSummary, ApplyDeltaFlagsBloomSlotsForRebuild) {
-  SummaryConfig config;
-  config.histogram_buckets = 20;
-  config.categorical_mode = CategoricalMode::kBloom;
-  auto s = ResourceSummary::of_records(
-      mixed_schema(), config,
-      {mixed_record(1, "camera", 0.3), mixed_record(2, "sensor", 0.8)});
-
-  // A removal batch cannot be subtracted from the Bloom slot
-  // (attribute 0); apply_delta must hand it back for rebuild while the
-  // histogram slot absorbs the delta exactly.
-  const auto rebuild = s.apply_delta({mixed_record(3, "camera", 0.5)},
-                                     {mixed_record(2, "sensor", 0.8)});
-  ASSERT_EQ(rebuild.size(), 1u);
-  EXPECT_EQ(rebuild[0], 0u);
-  EXPECT_EQ(s.record_count(), 2u);
-
-  // Rebuild the flagged slot over the survivors and check the result
-  // matches a from-scratch summary.
-  AttributeSummary fresh(mixed_schema().at(0), config);
-  fresh.add(AttributeValue(std::string("camera")));
-  fresh.add(AttributeValue(std::string("camera")));
-  s.replace_slot(0, std::move(fresh));
-  const auto expected = ResourceSummary::of_records(
-      mixed_schema(), config,
-      {mixed_record(1, "camera", 0.3), mixed_record(3, "camera", 0.5)});
-  EXPECT_EQ(s.digest(), expected.digest());
-
-  // Adds-only batches never request rebuilds, even with Bloom slots.
-  EXPECT_TRUE(s.apply_delta({mixed_record(4, "sensor", 0.9)}, {}).empty());
-}
-
-TEST(ResourceSummary, ReplaceSlotValidatesAttribute) {
-  SummaryConfig config;
-  ResourceSummary s(mixed_schema(), config);
-  AttributeSummary slot(mixed_schema().at(0), config);
-  EXPECT_THROW(s.replace_slot(99, std::move(slot)), std::out_of_range);
-  // "secret" (attr 2) is not searchable — it has no slot to replace.
-  AttributeSummary slot2(mixed_schema().at(0), config);
-  EXPECT_THROW(s.replace_slot(2, std::move(slot2)), std::out_of_range);
 }
 
 TEST(ResourceSummary, WireSizeConstantInRecordCount) {

@@ -463,6 +463,64 @@ TEST(TraceEndToEnd, QueuedQueriesKeepTheirOwnTrace) {
   }
 }
 
+// A negative-cache hit sends the same empty false-positive reply a cold
+// evaluation sends, so its processing span carries the false-positive
+// marker that the critical-path analyzer reads as detour time.
+TEST(TraceEndToEnd, NegativeCacheHitMarksItsSpanAsFalsePositive) {
+  auto params = traced_params(std::size_t{1} << 15);
+  params.config.query_cache_enabled = true;
+  constexpr std::size_t kServers = 12;
+  Federation fed(params);
+  fed.add_servers(kServers);
+  seed_identifiable(fed, kServers);
+  fed.start();
+  fed.stabilize();
+  fed.set_refresh_paused(true);
+
+  // Rewrite a leaf's record out of band: the summary its parent holds
+  // still claims the old value, so a query for that value is steered
+  // to the leaf and finds nothing there.
+  const auto topo = fed.topology();
+  sim::NodeId leaf = topo.root();
+  for (sim::NodeId i = 0; i < kServers; ++i) {
+    if (i != topo.root() && topo.is_leaf(i)) leaf = i;
+  }
+  ASSERT_NE(leaf, topo.root());
+  auto& store = fed.server(leaf).local_store();
+  auto record = store.get(leaf);
+  const double old_value = record.value(0).number();
+  record.set_value(0, record::AttributeValue(old_value + 0.04));
+  store.update(record);
+  Query q;
+  q.add(Predicate::range(0, old_value - 0.01, old_value + 0.01));
+
+  auto& metrics = fed.network().metrics();
+  const auto& neg_hits = metrics.counter("roads.query.cache.neg_hit");
+  const auto& false_positives =
+      metrics.counter("roads.query.false_positives");
+  for (const bool cached : {false, true}) {
+    SCOPED_TRACE(cached ? "negative-cache hit" : "cold evaluation");
+    const auto hits_before = neg_hits.value();
+    const auto fps_before = false_positives.value();
+    const auto out = fed.run_query(q, topo.root());
+    ASSERT_TRUE(out.complete);
+    EXPECT_EQ(out.matching_records, 0u);
+    EXPECT_EQ(neg_hits.value() - hits_before, cached ? 1u : 0u);
+    EXPECT_EQ(false_positives.value() - fps_before, 1u);
+
+    const auto tree =
+        obs::SpanTree::build(fed.trace()->trace_events(out.trace_id));
+    std::size_t marked = 0;
+    for (const auto* s : tree.trace_spans(out.trace_id)) {
+      if (s->false_positive) {
+        EXPECT_EQ(s->node, leaf);
+        ++marked;
+      }
+    }
+    EXPECT_EQ(marked, 1u);
+  }
+}
+
 // A timer armed inside a handler runs in that handler's tree: the join
 // request to a dead server times out after 2 s, and the retry it sends
 // continues the join's trace instead of rooting a new one.
