@@ -1,13 +1,11 @@
 // Event-engine microbenchmark: raw Simulator and Network dispatch
-// throughput under the schedule/cancel/run mixes the protocols
-// generate. This is the headline check for the slab + indexed-heap
-// engine — every figure bench funnels through these paths, so the
-// `ms` column is gated by the CI baseline diff like any other bench.
+// throughput under the schedule/run mixes the protocols generate.
+// This is the headline check for the slab + indexed-heap engine —
+// every figure bench funnels through these paths, so the `ms` column
+// is gated by the CI baseline diff like any other bench.
 //
 // Workloads (each timed as the min of kRepeats runs):
 //   schedule_run        N one-shot events, then drain.
-//   schedule_cancel_run 2N scheduled, every other one cancelled (O(1)
-//                       tombstone path), then drain.
 //   timer_chain         one self-rescheduling timer ticking N times
 //                       (the RoadsServer heartbeat/refresh idiom).
 //   interleaved         handlers that keep scheduling follow-ups, so
@@ -98,21 +96,6 @@ WorkloadResult schedule_run() {
       sim.schedule_after(static_cast<sim::Time>(i % 1000),
                          [&sink, i] { sink = sink + i; });
     }
-    sim.run();
-  });
-}
-
-WorkloadResult schedule_cancel_run() {
-  return run_workload([](sim::Simulator& sim) {
-    volatile std::uint64_t sink = 0;
-    std::vector<sim::EventId> ids;
-    ids.reserve(kEvents);
-    for (std::size_t i = 0; i < 2 * kEvents; ++i) {
-      const auto id = sim.schedule_after(static_cast<sim::Time>(i % 1000),
-                                         [&sink, i] { sink = sink + i; });
-      if (i % 2 == 0) ids.push_back(id);
-    }
-    for (const auto id : ids) sim.cancel(id);
     sim.run();
   });
 }
@@ -259,7 +242,6 @@ WorkloadResult net_send_probed() {
     obs::Timeline timeline(registry, tcfg);
     timeline.track_counter("net.query.messages");
     timeline.track_counter("net.query.bytes");
-    timeline.track_gauge("sim.queue.depth");
     timeline.add_probe("queue.window_max_depth", [&sim](sim::Time) {
       return static_cast<double>(sim.take_window_max_depth());
     });
@@ -378,7 +360,6 @@ int main(int argc, char** argv) {
   // closures overflow the EventFn inline buffer into the spill pool.
   util::Table table({"workload", "ms", "Mev/s", "spill%"});
   add_row(table, "schedule_run", schedule_run());
-  add_row(table, "schedule_cancel_run", schedule_cancel_run());
   add_row(table, "timer_chain", timer_chain());
   add_row(table, "interleaved", interleaved());
   // Best of up to 3 paired measurements: the true profiler cost
@@ -432,8 +413,8 @@ int main(int argc, char** argv) {
   }
   std::printf(
       "\nengine contract: digests bit-identical to the pre-slab engine "
-      "(see sim_test/chaos_test goldens);\ncancel is O(1); timer and "
-      "protocol closures run from the 48-byte inline slot (spill%% = 0), "
-      "network\ndeliveries recycle pooled spill blocks.\n");
+      "(see sim_test/chaos_test goldens);\ntimer and protocol closures run "
+      "from the 48-byte inline slot (spill%% = 0), network\ndeliveries "
+      "recycle pooled spill blocks.\n");
   return rc;
 }

@@ -40,14 +40,13 @@ std::unique_ptr<obs::Timeline> attach_timeline(
   core::Federation* f = &fed;
 
   // Windowed instruments: the traffic channels the §V figures meter,
-  // the completed-query counter (per-window query rate), the windowed
-  // latency quantiles, and the event-queue depth.
+  // the completed-query counter (per-window query rate) and the
+  // windowed latency quantiles.
   timeline->track_counter("net.query.messages");
   timeline->track_counter("net.query.bytes");
   timeline->track_counter("net.update.bytes");
   timeline->track_counter("net.maintenance.bytes");
   timeline->track_counter("roads.query.completed");
-  timeline->track_gauge("sim.queue.depth");
   timeline->track_histogram("roads.query.latency_ms");
 
   // Query-serving cache/admission meters (all flat 0 unless a

@@ -70,15 +70,17 @@ struct TelemetryOptions {
 
 /// Builds a Timeline over `fed`'s registry, registers the windowed
 /// instruments (query/update/maintenance channels, completed-query
-/// counter, latency histogram, queue-depth gauge), installs the health
-/// probes from the ISSUE's telemetry plan — replica and child-summary
-/// staleness, sampled summary-vs-records divergence, queue-depth
-/// watermark, query-load imbalance (max/mean and Gini) — and arms the
-/// convergence detector (staleness bounded + divergence below threshold
-/// + flat update rate for the configured window streak).
+/// counter, latency histogram), installs the health probes — replica
+/// and child-summary staleness, sampled summary-vs-records divergence,
+/// the queue-depth watermark summed over every engine, query-load
+/// imbalance (max/mean and Gini) — and arms the convergence detector
+/// (staleness bounded + divergence below threshold + flat update rate
+/// for the configured window streak).
 ///
 /// The caller still owns starting the sampler: call
-/// `timeline->start(fed.simulator())` once the federation is formed
+/// `timeline->start(fed.simulator())` — `timeline->start(*fed.sharded())`
+/// under the sharded engine, whose coordinator heap alone would let the
+/// sampler go inert — once the federation is formed
 /// (Federation::add_server drains the event queue between joins, and a
 /// self-rearming sampler would keep those drains from terminating).
 std::unique_ptr<obs::Timeline> attach_timeline(core::Federation& fed,

@@ -250,13 +250,6 @@ void write_prometheus(const MetricsRegistry& registry, std::ostream& os,
        << "# TYPE " << pname << " counter\n"
        << pname << " " << c->value() << "\n";
   }
-  for (const auto& [name, g] : registry.gauges()) {
-    const auto pname = prometheus_name(prefix, name);
-    os << "# HELP " << pname << " " << prometheus_help_text(registry, name)
-       << "\n"
-       << "# TYPE " << pname << " gauge\n"
-       << pname << " " << json_number(g->value()) << "\n";
-  }
   for (const auto& [name, h] : registry.histograms()) {
     const auto pname = prometheus_name(prefix, name);
     os << "# HELP " << pname << " " << prometheus_help_text(registry, name)

@@ -94,13 +94,6 @@ Counter& MetricsRegistry::counter(const std::string& name) {
   return *slot;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  auto& slot = gauges_[name];
-  if (!slot) slot = std::make_unique<Gauge>();
-  return *slot;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       std::vector<double> bounds) {
   std::lock_guard<std::mutex> lock(mutex_);
@@ -126,9 +119,6 @@ util::MetricSet MetricsRegistry::snapshot() const {
   for (const auto& [name, c] : counters_) {
     out.set(name, static_cast<double>(c->value()));
   }
-  for (const auto& [name, g] : gauges_) {
-    out.set(name, g->value());
-  }
   for (const auto& [name, h] : histograms_) {
     out.set(name + ".count", static_cast<double>(h->count()));
     out.set(name + ".mean", h->mean());
@@ -151,15 +141,6 @@ std::vector<std::pair<std::string, const Counter*>> MetricsRegistry::counters()
   std::vector<std::pair<std::string, const Counter*>> out;
   out.reserve(counters_.size());
   for (const auto& [name, c] : counters_) out.emplace_back(name, c.get());
-  return out;
-}
-
-std::vector<std::pair<std::string, const Gauge*>> MetricsRegistry::gauges()
-    const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<std::pair<std::string, const Gauge*>> out;
-  out.reserve(gauges_.size());
-  for (const auto& [name, g] : gauges_) out.emplace_back(name, g.get());
   return out;
 }
 

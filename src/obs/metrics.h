@@ -1,6 +1,6 @@
 // Unified metrics layer: a thread-safe registry of named Counter /
-// Gauge / Histogram instruments shared by every subsystem (network
-// meters, query accounting, overlay and repository latencies). The
+// Histogram instruments shared by every subsystem (network meters,
+// query accounting, overlay and repository latencies). The
 // design follows the Envoy Stats split between recording (lock-free
 // counters, per-histogram locking) and reading (snapshot accessors
 // that copy consistent state). Instruments live as long as their
@@ -51,34 +51,6 @@ class Counter {
 
  private:
   std::atomic<std::uint64_t> value_{0};
-};
-
-/// Last-written scalar (queue depths, hierarchy height, replica counts).
-///
-/// Thread-safety contract: set() is a plain atomic store (last writer
-/// wins — fine for state snapshots). add() is a CAS loop: on failure
-/// the expected value is reloaded and the sum recomputed, so concurrent
-/// deltas all land exactly once (no lost updates; an "ABA" revisit of
-/// the same bits is harmless because the new value is derived from the
-/// freshly observed one). All operations are memory_order_relaxed —
-/// the gauge publishes no other data, only its own value, so no
-/// acquire/release edges are needed. Floating-point caveat: the *sum*
-/// is exact only as far as double addition is; interleavings can
-/// reorder additions, so results that depend on FP rounding order are
-/// not bit-deterministic (integral-valued deltas within 2^53 are).
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double delta) {
-    double cur = value_.load(std::memory_order_relaxed);
-    while (!value_.compare_exchange_weak(cur, cur + delta,
-                                         std::memory_order_relaxed)) {
-    }
-  }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
 };
 
 /// Fixed-bucket histogram with exact quantiles on the side: bucket
@@ -136,7 +108,6 @@ class MetricsRegistry {
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   Counter& counter(const std::string& name);
-  Gauge& gauge(const std::string& name);
   /// `bounds` only applies on first creation; later callers get the
   /// existing instrument regardless of the bounds they pass.
   Histogram& histogram(const std::string& name,
@@ -149,24 +120,21 @@ class MetricsRegistry {
   /// Stored help text; empty when none was set.
   std::string help(const std::string& name) const;
 
-  /// Flattens every instrument into scalar metrics: counters and gauges
-  /// keep their name, histograms expand to <name>.count/.mean/.p50/
-  /// .p90/.p99/.max — the shape exp::Experiment folds into its results.
+  /// Flattens every instrument into scalar metrics: counters keep their
+  /// name, histograms expand to <name>.count/.mean/.p50/.p90/.p99/.max
+  /// — the shape exp::Experiment folds into its results.
   util::MetricSet snapshot() const;
 
-  /// Zeroes every counter (gauges and histograms are left alone; they
-  /// describe state, not a metering window).
+  /// Zeroes every counter (histograms are left alone).
   void reset_counters();
 
   /// Deterministic (sorted-name) views for the exporters.
   std::vector<std::pair<std::string, const Counter*>> counters() const;
-  std::vector<std::pair<std::string, const Gauge*>> gauges() const;
   std::vector<std::pair<std::string, const Histogram*>> histograms() const;
 
  private:
   mutable std::mutex mutex_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
   std::map<std::string, std::string> help_;
 };

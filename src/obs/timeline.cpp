@@ -68,13 +68,6 @@ void Timeline::track_counter(const std::string& name) {
   counters_.push_back(std::move(track));
 }
 
-void Timeline::track_gauge(const std::string& name) {
-  for (const auto& t : gauges_) {
-    if (t.name == name) return;
-  }
-  gauges_.push_back({name, &registry_.gauge(name)});
-}
-
 void Timeline::track_histogram(const std::string& name) {
   for (const auto& t : histograms_) {
     if (t.name == name) return;
@@ -123,9 +116,6 @@ void Timeline::tick(sim::Time now) {
     t.last = cur;
     window.values["delta." + t.name] = static_cast<double>(delta);
     window.values["rate." + t.name] = static_cast<double>(delta) / span_s;
-  }
-  for (const auto& t : gauges_) {
-    window.values["gauge." + t.name] = t.gauge->value();
   }
   for (auto& t : histograms_) {
     const auto buckets = t.hist->bucket_counts();

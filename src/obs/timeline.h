@@ -4,13 +4,13 @@
 // say how stale the replica overlay was *during* a partition or when
 // the federation converged after a churn wave. The Timeline closes that
 // gap: on a configurable sim-time tick it snapshots registered
-// counters/gauges/histograms into fixed-interval windows — per-window
-// counter deltas become rates, gauges become watermark samples,
-// histogram bucket deltas become windowed quantiles — and runs caller-
-// installed probes (pure read-only callbacks) against live protocol
-// state. Windows live in a bounded ring, so long chaos runs keep the
-// recent history without unbounded growth, and the last windows can be
-// attached to a flight record when an invariant trips.
+// counters/histograms into fixed-interval windows — per-window counter
+// deltas become rates, histogram bucket deltas become windowed
+// quantiles — and runs caller-installed probes (pure read-only
+// callbacks) against live protocol state. Windows live in a bounded
+// ring, so long chaos runs keep the recent history without unbounded
+// growth, and the last windows can be attached to a flight record when
+// an invariant trips.
 //
 // On top of the windows sits a convergence detector: a window is
 // "healthy" when every installed health predicate holds (staleness
@@ -53,8 +53,8 @@ struct TimelineConfig {
 };
 
 /// One closed sampling window [start, end). Scalar series live in
-/// `values` under prefixed names ("rate.<counter>", "gauge.<gauge>",
-/// "<hist>.p90", "probe.<probe>"); per-node probe series live in
+/// `values` under prefixed names ("rate.<counter>", "<hist>.wp90",
+/// "probe.<probe>"); per-node probe series live in
 /// `per_node` as one value per node id.
 struct TimelineWindow {
   std::uint64_t index = 0;
@@ -84,10 +84,6 @@ class Timeline {
   /// inside the window) and "rate.<name>" (increments per simulated
   /// second).
   void track_counter(const std::string& name);
-  /// Tracks a gauge: each window records "gauge.<name>", the value at
-  /// the window's closing tick (a watermark sample for gauges that are
-  /// themselves high-water marks).
-  void track_gauge(const std::string& name);
   /// Tracks a histogram: each window diffs the cumulative bucket counts
   /// and records "<name>.wcount", "<name>.wmean" and
   /// "<name>.wp50/.wp90/.wp99" — quantiles of the samples recorded
@@ -188,10 +184,6 @@ class Timeline {
     Counter* counter = nullptr;
     std::uint64_t last = 0;
   };
-  struct GaugeTrack {
-    std::string name;
-    Gauge* gauge = nullptr;
-  };
   struct HistogramTrack {
     std::string name;
     Histogram* hist = nullptr;
@@ -239,7 +231,6 @@ class Timeline {
   MetricsRegistry& registry_;
   TimelineConfig config_;
   std::vector<CounterTrack> counters_;
-  std::vector<GaugeTrack> gauges_;
   std::vector<HistogramTrack> histograms_;
   std::vector<NamedProbe> probes_;
   std::vector<NodeProbe> node_probes_;

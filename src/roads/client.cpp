@@ -6,6 +6,12 @@
 
 namespace roads::core {
 
+namespace {
+/// How long to wait for a contacted server before writing it off as
+/// failed; keeps queries from hanging on dead servers during churn.
+constexpr sim::Time kReplyTimeout = 10 * sim::kSecond;
+}  // namespace
+
 RoadsClient::RoadsClient(sim::Network& network, Directory& directory,
                          record::Query query, sim::NodeId location,
                          Principal principal, bool collect_results)
@@ -67,7 +73,7 @@ void RoadsClient::visit(sim::NodeId target, QueryMode mode) {
                   directory_.query_target(target).handle_query(self, mode);
                 });
   network_.simulator().schedule_after(
-      reply_timeout_, [self, target] { self->on_reply_timeout(target); });
+      kReplyTimeout, [self, target] { self->on_reply_timeout(target); });
 }
 
 void RoadsClient::on_reply_timeout(sim::NodeId server) {

@@ -54,10 +54,6 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
               record::Query query, sim::NodeId location,
               Principal principal = kAnonymous, bool collect_results = false);
 
-  /// How long to wait for a contacted server before writing it off as
-  /// failed; keeps queries from hanging on dead servers during churn.
-  void set_reply_timeout(sim::Time timeout) { reply_timeout_ = timeout; }
-
   /// Search-scope control (§III-C): limit the search to the branch of
   /// the start server's ancestor `levels` up — 1 covers the parent's
   /// branch (start subtree + siblings), 2 the grandparent's, and so
@@ -119,7 +115,6 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   Principal principal_;
   bool collect_results_;
 
-  sim::Time reply_timeout_ = 10 * sim::kSecond;
   unsigned scope_ = kUnlimitedScope;
   std::set<sim::NodeId> visited_;
   std::set<sim::NodeId> replied_;

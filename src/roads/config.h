@@ -86,27 +86,11 @@ struct RoadsConfig {
 
   // --- Digest-keyed result caching -----------------------------------------
   /// Per-server query-result cache keyed on (query digest, folded
-  /// summary-state digest). Off by default: caching changes message
-  /// timing, so the existing goldens only hold with it disabled.
+  /// summary-state digest), plus a negative cache of summary-prune
+  /// misses; bounds and hit delay are constants in roads/server.cpp.
+  /// Off by default: caching changes message timing, so the existing
+  /// goldens only hold with it disabled.
   bool query_cache_enabled = false;
-
-  /// Result-cache bounds: entries and total cached bytes (records +
-  /// target lists), LRU-evicted.
-  std::size_t query_cache_max_entries = 4096;
-  std::uint64_t query_cache_max_bytes = 1 << 22;  // 4 MiB
-
-  /// Service time of a cache hit (lookup + reply assembly). A hit
-  /// occupies an evaluation slot for this long instead of
-  /// query_processing_delay — the source of the cache's throughput win.
-  sim::Time query_cache_hit_delay = 50;  // µs
-
-  /// Negative cache of summary-prune misses: a forwarded query that
-  /// proved a false positive (no local match, no live subtree/replica
-  /// target) is remembered and answered empty for the TTL without
-  /// occupying an evaluation slot — the absorber for the fp storms the
-  /// staleness-attack scenarios generate. Entry-bounded, FIFO-expired.
-  std::size_t negative_cache_max_entries = 1024;
-  sim::Time negative_cache_ttl = sim::seconds(5);
 };
 
 }  // namespace roads::core

@@ -12,6 +12,24 @@ namespace {
 /// Join requests to a dead server never get a reply; after this long
 /// the joiner assumes the target failed and moves on.
 constexpr sim::Time kJoinTimeout = sim::seconds(2);
+
+/// Result-cache bounds: entries and total cached bytes (records +
+/// target lists), LRU-evicted.
+constexpr std::size_t kQueryCacheMaxEntries = 4096;
+constexpr std::uint64_t kQueryCacheMaxBytes = 1 << 22;  // 4 MiB
+
+/// Service time of a cache hit (lookup + reply assembly). A hit
+/// occupies an evaluation slot for this long instead of
+/// query_processing_delay — the source of the cache's throughput win.
+constexpr sim::Time kQueryCacheHitDelay = 50;  // µs
+
+/// Negative cache of summary-prune misses: a forwarded query that
+/// proved a false positive (no local match, no live subtree/replica
+/// target) is remembered and answered empty for the TTL without
+/// occupying an evaluation slot — the absorber for the fp storms the
+/// staleness-attack scenarios generate. Entry-bounded, FIFO-expired.
+constexpr std::size_t kNegativeCacheMaxEntries = 1024;
+constexpr sim::Time kNegativeCacheTtl = sim::seconds(5);
 }  // namespace
 
 RoadsServer::RoadsServer(sim::NodeId id, const RoadsConfig& config,
@@ -50,10 +68,8 @@ RoadsServer::RoadsServer(sim::NodeId id, const RoadsConfig& config,
       cache_evicted_(network.metrics().counter("roads.query.cache.evicted")),
       store_(schema_),
       replicas_(config.summary_ttl),
-      query_cache_(config.query_cache_max_entries,
-                   config.query_cache_max_bytes),
-      negative_cache_(config.negative_cache_max_entries,
-                      config.negative_cache_ttl) {
+      query_cache_(kQueryCacheMaxEntries, kQueryCacheMaxBytes),
+      negative_cache_(kNegativeCacheMaxEntries, kNegativeCacheTtl) {
   replicas_.bind_metrics(network.metrics());
 }
 
@@ -734,15 +750,7 @@ void RoadsServer::on_failure_check_timer() {
   // Partition recovery: a root that got here by failed rejoin keeps
   // retrying its old contacts so partitions re-merge when possible.
   if (is_root() && !recovery_candidates_.empty() && !join_.active) {
-    join_ = JoinState{};
-    join_.active = true;
-    join_.current = recovery_candidates_.front();
-    join_.fallbacks.assign(recovery_candidates_.begin() + 1,
-                           recovery_candidates_.end());
-    join_.on_complete = [this](bool ok) {
-      if (!ok) become_root();  // stay a partition root; retry later
-    };
-    send_join_request(join_.current);
+    rejoin(recovery_candidates_);
   }
 
   replicas_.sweep(now);
@@ -756,65 +764,49 @@ void RoadsServer::parent_lost() {
   parent_.reset();
   parent_push_digest_.reset();
 
+  std::vector<sim::NodeId> candidates;
   if (parent_was_root) {
     // Root election (§III-A): the root's children elect the one with
     // the smallest id, learned from the root's heartbeat children list.
-    std::vector<sim::NodeId> electorate = root_children_;
-    electorate.push_back(id_);
-    const sim::NodeId elected =
-        *std::min_element(electorate.begin(), electorate.end());
-    if (elected == id_) {
+    // The other members double as fallbacks if the winner died.
+    for (const auto n : root_children_) {
+      if (n != id_) candidates.push_back(n);
+    }
+    std::sort(candidates.begin(), candidates.end());
+    if (candidates.empty() || id_ < candidates.front()) {
       ROADS_INFO << "server " << id_ << ": elected new root";
       trace_event(obs::TraceKind::kRootElection, id_);
       become_root();
       // The detection may have been a false positive (lost heartbeats);
       // keep the old root as a recovery contact so a spurious
       // self-election re-merges instead of splitting the tree.
-      recovery_candidates_.clear();
-      if (old_parent) recovery_candidates_.push_back(*old_parent);
+      recovery_candidates_.assign(1, *old_parent);
       return;
     }
-    join_ = JoinState{};
-    join_.active = true;
-    join_.current = elected;
-    // Other electorate members double as fallbacks if the winner died;
-    // if every candidate is gone, stand up as root and keep retrying
-    // (partition recovery).
-    std::sort(electorate.begin(), electorate.end());
-    for (const auto n : electorate) {
-      if (n != elected && n != id_) join_.fallbacks.push_back(n);
+  } else {
+    // Rejoin starting at the grandparent, then one level up at a time
+    // (§III-A Hierarchy Maintenance).
+    candidates = old_path.rejoin_candidates();
+    if (candidates.empty()) {
+      // No ancestors known; become root of our own partition.
+      become_root();
+      return;
     }
-    recovery_candidates_.clear();
-    for (const auto n : electorate) {
-      if (n != id_) recovery_candidates_.push_back(n);
-    }
-    join_.on_complete = [this](bool ok) {
-      if (!ok) become_root();  // recovery_candidates_ keeps us retrying
-    };
-    rejoins_.inc();
-    trace_event(obs::TraceKind::kRejoin, elected);
-    send_join_request(elected);
-    return;
   }
+  recovery_candidates_ = candidates;
+  rejoins_.inc();
+  trace_event(obs::TraceKind::kRejoin, candidates.front());
+  rejoin(std::move(candidates));
+}
 
-  // Rejoin starting at the grandparent, then one level up at a time
-  // (§III-A Hierarchy Maintenance).
-  auto candidates = old_path.rejoin_candidates();
-  if (candidates.empty()) {
-    // No ancestors known; become root of our own partition.
-    become_root();
-    return;
-  }
+void RoadsServer::rejoin(std::vector<sim::NodeId> candidates) {
   join_ = JoinState{};
   join_.active = true;
   join_.current = candidates.front();
   join_.fallbacks.assign(candidates.begin() + 1, candidates.end());
-  recovery_candidates_ = candidates;
   join_.on_complete = [this](bool ok) {
     if (!ok) become_root();  // recovery_candidates_ keeps us retrying
   };
-  rejoins_.inc();
-  trace_event(obs::TraceKind::kRejoin, join_.current);
   send_join_request(join_.current);
 }
 
@@ -855,7 +847,7 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
       return std::shared_ptr<const CachedReply>(std::move(reply));
     }();
     cache_neg_hits_.inc();
-    network_.defer(id_, config_.query_cache_hit_delay, "proc",
+    network_.defer(id_, kQueryCacheHitDelay, "proc",
                    [this, client] { send_reply(client, kNegativeReply); });
     return;
   }
@@ -887,7 +879,7 @@ void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
       cache_hits_.inc();
       // A hit holds its slot only for the lookup/assembly delay — the
       // source of the cache's sustainable-QPS win.
-      network_.defer(id_, config_.query_cache_hit_delay, "proc",
+      network_.defer(id_, kQueryCacheHitDelay, "proc",
                      [this, client, entry = std::move(entry)] {
                        send_reply(client, entry);
                        finish_query();

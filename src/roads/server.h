@@ -145,12 +145,9 @@ class RoadsServer : public QueryTarget {
   void handle_query(std::shared_ptr<RoadsClient> client,
                     QueryMode mode) override;
 
-  /// Admission/cache introspection (tests and probes).
-  std::size_t active_queries() const { return active_queries_; }
+  /// Admission/cache introspection (benchmark probes).
   std::size_t queued_queries() const { return query_queue_.size(); }
-  std::size_t query_cache_entries() const { return query_cache_.size(); }
   std::uint64_t query_cache_bytes() const { return query_cache_.bytes(); }
-  std::size_t negative_cache_entries() const { return negative_cache_.size(); }
 
  private:
   struct Attachment {
@@ -196,7 +193,9 @@ class RoadsServer : public QueryTarget {
   void on_heartbeat_timer();
   void on_failure_check_timer();
   void parent_lost();
-  void try_rejoin_candidates();
+  /// Joins `candidates.front()`, keeping the rest as fallbacks in
+  /// order; stands up as a partition root if every one fails.
+  void rejoin(std::vector<sim::NodeId> candidates);
 
   // --- Query serving internals (admission + caching) ------------------------
   /// Starts serving an admitted query: cache lookup decides whether the

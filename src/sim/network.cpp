@@ -72,7 +72,6 @@ Network::Network(Simulator& simulator, DelaySpace& delay_space, util::Rng rng,
   fault_duplicated_ = &metrics_->counter("sim.fault.duplicated");
   fault_reordered_ = &metrics_->counter("sim.fault.reordered");
   fault_partitioned_ = &metrics_->counter("sim.fault.partitioned");
-  sim_.bind_metrics(*metrics_);
 }
 
 Simulator& Network::cur() {

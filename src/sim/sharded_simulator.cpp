@@ -166,26 +166,24 @@ bool ShardedSimulator::global_min_top(Time& when, std::uint64_t& seq,
   return found;
 }
 
-// One sequential-engine pop_one, across engines: discard tombstones in
-// global order until a live event executes (true) or all heaps drain
-// (false). Clocks sync to the event time BEFORE it runs so any engine's
-// now() read from inside the handler (or from coordinator code after
-// it) matches the single-threaded clock.
+// One sequential-engine step, across engines: executes the event with
+// the globally smallest (time, seq) key (true), or finds every heap
+// drained (false). Clocks sync to the event time BEFORE it runs so any
+// engine's now() read from inside the handler (or from coordinator code
+// after it) matches the single-threaded clock.
 bool ShardedSimulator::micro_pop() {
-  for (;;) {
-    Time when;
-    std::uint64_t seq;
-    std::size_t index;
-    if (!global_min_top(when, seq, index)) return false;
-    Simulator* engine = engine_at(index);
-    global_.advance_clock(when);
-    for (auto& s : shards_) s->advance_clock(when);
-    const ExecContext prev = tls_;
-    tls_ = ExecContext{this, engine, index == 0 ? 0 : index - 1, nullptr};
-    const int r = engine->step_top();
-    tls_ = prev;
-    if (r == 1) return true;
-  }
+  Time when = 0;
+  std::uint64_t seq = 0;
+  std::size_t index = 0;
+  if (!global_min_top(when, seq, index)) return false;
+  Simulator* engine = engine_at(index);
+  global_.advance_clock(when);
+  for (auto& s : shards_) s->advance_clock(when);
+  const ExecContext prev = tls_;
+  tls_ = ExecContext{this, engine, index == 0 ? 0 : index - 1, nullptr};
+  engine->step_top();
+  tls_ = prev;
+  return true;
 }
 
 void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
@@ -197,17 +195,15 @@ void ShardedSimulator::run_shard_window(std::size_t shard, Time window_end) {
   busy_us_[shard] = now_us() - t0;
 }
 
-std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
+void ShardedSimulator::run_parallel_window(Time window_end) {
   active_.clear();
   for (std::size_t i = 0; i < shards_.size(); ++i) {
     Time w;
     std::uint64_t s;
     if (shards_[i]->top_key(w, s) && w < window_end) active_.push_back(i);
   }
-  if (active_.empty()) return 0;
   cur_window_end_ = window_end;
   if (windows_counter_ != nullptr) windows_counter_->inc();
-  const std::size_t before = stats().executed;
   // Utilization accounting baselines: each shard engine accumulates
   // its in-loop tick time into its ProfSink; the per-window busy is
   // the delta across this window, and wall - busy is barrier wait.
@@ -273,7 +269,6 @@ std::size_t ShardedSimulator::run_parallel_window(Time window_end) {
     }
   }
   merge_window();
-  return stats().executed - before;
 }
 
 void ShardedSimulator::merge_window() {
@@ -314,11 +309,7 @@ void ShardedSimulator::merge_window() {
       case ShardWindowLog::Kind::kSchedule: {
         const std::uint64_t vseq = next_seq_++;
         resolved_[best][r.index] = vseq;
-        if (r.parked) {
-          // false = cancelled while parked; the seq stays consumed,
-          // exactly as the sequential run would have spent it.
-          shards_[best]->reinsert_parked(r.slot, r.generation, r.when, vseq);
-        }
+        if (r.parked) shards_[best]->reinsert_parked(r.slot, r.when, vseq);
         break;
       }
       case ShardWindowLog::Kind::kCross: {
@@ -351,9 +342,9 @@ void ShardedSimulator::ensure_pool() {
 std::size_t ShardedSimulator::run_until(Time deadline) {
   const std::size_t before = stats().executed;
   for (;;) {
-    Time t;
-    std::uint64_t s;
-    std::size_t index;
+    Time t = 0;
+    std::uint64_t s = 0;
+    std::size_t index = 0;
     if (!global_min_top(t, s, index)) break;
     if (t > deadline) break;
     Time tg = kTimeMax;
@@ -366,13 +357,9 @@ std::size_t ShardedSimulator::run_until(Time deadline) {
       micro_pop();
       continue;
     }
-    const Time window_end =
-        std::min(std::min(t + lookahead_, tg), deadline + 1);
-    if (run_parallel_window(window_end) == 0) {
-      // Only tombstones below the window bound: they were discarded,
-      // loop around for a fresh frontier.
-      continue;
-    }
+    // The shard holding the minimum t is always active: the window end
+    // lies above t, so every window executes at least one event.
+    run_parallel_window(std::min(std::min(t + lookahead_, tg), deadline + 1));
   }
   global_.advance_clock(deadline);
   for (auto& sh : shards_) sh->advance_clock(deadline);
@@ -397,7 +384,6 @@ Simulator::Stats ShardedSimulator::stats() const {
     const auto& st = s->stats();
     sum.scheduled += st.scheduled;
     sum.executed += st.executed;
-    sum.cancelled += st.cancelled;
     sum.inline_events += st.inline_events;
     sum.spilled_events += st.spilled_events;
     sum.max_depth += st.max_depth;

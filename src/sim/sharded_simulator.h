@@ -53,12 +53,6 @@
 // final seqs would sort, since pre-window schedules drew smaller
 // numbers. The merge resolves provisional keys to final seqs as it
 // passes the records that created them.
-//
-// Known deliberate divergence: none for the protocol workloads (no
-// protocol code calls Simulator::cancel). Workloads that cancel events
-// around run_until deadlines can observe the sequential engine's
-// tombstone-drag quirk (simulator.cpp) which the window loop does not
-// reproduce; the chaos digests gate the cases that matter.
 #pragma once
 
 #include <cstdint>
@@ -132,8 +126,8 @@ class ShardedSimulator {
   Time now() const { return global_.now(); }
 
   /// Schedules on the global (coordinator) engine.
-  EventId schedule_after(Time delay, EventFn fn) {
-    return global_.schedule_after(delay, std::move(fn));
+  void schedule_after(Time delay, EventFn fn) {
+    global_.schedule_after(delay, std::move(fn));
   }
 
   /// Runs every event with time <= deadline across all engines —
@@ -212,7 +206,7 @@ class ShardedSimulator {
   bool micro_pop();
   bool global_min_top(Time& when, std::uint64_t& seq, std::size_t& engine);
   void run_shard_window(std::size_t shard, Time window_end);
-  std::size_t run_parallel_window(Time window_end);
+  void run_parallel_window(Time window_end);
   void merge_window();
   void ensure_pool();
   Simulator* engine_at(std::size_t index) {

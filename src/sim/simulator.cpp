@@ -3,7 +3,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/metrics.h"
 #include "obs/profile.h"
 #include "sim/window_log.h"
 
@@ -25,23 +24,9 @@ std::uint32_t Simulator::acquire_slot() {
   return static_cast<std::uint32_t>(slot_count_++);
 }
 
-void Simulator::free_slot(std::uint32_t slot_index) {
-  Slot& slot = slot_at(slot_index);
-  slot.active = false;
-  ++slot.generation;  // invalidates the heap tombstone and any live id
-  slot.next_free = free_head_;
-  free_head_ = slot_index;
-}
-
 void Simulator::note_depth() {
-  if (live_ > stats_.max_depth) {
-    stats_.max_depth = live_;
-    if (max_depth_gauge_ != nullptr) {
-      max_depth_gauge_->set(static_cast<double>(live_));
-    }
-  }
+  if (live_ > stats_.max_depth) stats_.max_depth = live_;
   if (live_ > window_max_depth_) window_max_depth_ = live_;
-  if (depth_gauge_ != nullptr) depth_gauge_->set(static_cast<double>(live_));
 }
 
 std::size_t Simulator::take_window_max_depth() {
@@ -51,28 +36,28 @@ std::size_t Simulator::take_window_max_depth() {
 }
 
 // Hole-based sifts: the displaced element is kept in registers while
-// the hole walks the tree, so each level costs one key+ref copy
+// the hole walks the tree, so each level costs one key+slot copy
 // instead of a three-way swap.
-void Simulator::heap_push(HeapKey key, HeapRef ref) {
+void Simulator::heap_push(HeapKey key, std::uint32_t slot_index) {
   std::size_t i = heap_keys_.size();
   heap_keys_.push_back(key);
-  heap_refs_.push_back(ref);
+  heap_slots_.push_back(slot_index);
   while (i > 0) {
     const std::size_t parent = (i - 1) / kArity;
     if (!before(key, heap_keys_[parent])) break;
     heap_keys_[i] = heap_keys_[parent];
-    heap_refs_[i] = heap_refs_[parent];
+    heap_slots_[i] = heap_slots_[parent];
     i = parent;
   }
   heap_keys_[i] = key;
-  heap_refs_[i] = ref;
+  heap_slots_[i] = slot_index;
 }
 
 void Simulator::heap_pop_top() {
   const HeapKey key = heap_keys_.back();
-  const HeapRef ref = heap_refs_.back();
+  const std::uint32_t slot_index = heap_slots_.back();
   heap_keys_.pop_back();
-  heap_refs_.pop_back();
+  heap_slots_.pop_back();
   const std::size_t n = heap_keys_.size();
   if (n == 0) return;
   std::size_t i = 0;
@@ -87,14 +72,14 @@ void Simulator::heap_pop_top() {
     }
     if (!before(heap_keys_[best], key)) break;
     heap_keys_[i] = heap_keys_[best];
-    heap_refs_[i] = heap_refs_[best];
+    heap_slots_[i] = heap_slots_[best];
     i = best;
   }
   heap_keys_[i] = key;
-  heap_refs_[i] = ref;
+  heap_slots_[i] = slot_index;
 }
 
-EventId Simulator::schedule_at(Time when, EventFn fn) {
+void Simulator::schedule_at(Time when, EventFn fn) {
   if (when < now_) {
     throw std::invalid_argument("Simulator: scheduling into the past");
   }
@@ -102,40 +87,35 @@ EventId Simulator::schedule_at(Time when, EventFn fn) {
   const std::uint32_t slot_index = acquire_slot();
   Slot& slot = slot_at(slot_index);
   slot.fn = std::move(fn);
-  slot.active = true;
   // Category resolution (profiled runs only): the explicit scope tag
   // if one is active, else inherit from the executing handler.
   slot.category = prof_ != nullptr ? obs::prof_current_category() : 0;
   // Trace context resolution (tracing runs only), same rule: an
   // explicit scope if one is active, else the executing handler's.
   slot.trace = tracing_ ? obs::current_trace_context() : obs::TraceContext{};
-  const std::uint32_t gen = slot.generation;
   if (window_log_ != nullptr) {
     // Parallel window: the global seq this event would have drawn
     // depends on the cross-shard interleaving, so it is assigned at the
     // barrier merge from the log record below. Until then the event is
     // either heaped under a phase-1 key (target inside this window —
     // only zero-/sub-lookahead local delays reach here) or parked with
-    // its slot held, so cancel() via the returned id works as usual.
+    // its slot held.
     const std::uint64_t local = window_local_seq_++;
     const bool parked = when >= window_end_;
-    if (!parked) {
-      heap_push(HeapKey{when, kPhase1Bit | local}, HeapRef{slot_index, gen});
-    }
+    if (!parked) heap_push(HeapKey{when, kPhase1Bit | local}, slot_index);
     ShardWindowLog::Record rec;
     rec.handler_time = exec_when_;
     rec.handler_seq = exec_seq_;
     rec.kind = ShardWindowLog::Kind::kSchedule;
     rec.when = when;
     rec.slot = slot_index;
-    rec.generation = gen;
     rec.index = local;
     rec.parked = parked;
     window_log_->records.push_back(rec);
   } else {
     const std::uint64_t seq =
         shared_seq_ != nullptr ? (*shared_seq_)++ : next_seq_++;
-    heap_push(HeapKey{when, seq}, HeapRef{slot_index, gen});
+    heap_push(HeapKey{when, seq}, slot_index);
   }
   ++live_;
   ++stats_.scheduled;
@@ -144,52 +124,29 @@ EventId Simulator::schedule_at(Time when, EventFn fn) {
   } else {
     ++stats_.spilled_events;
   }
-  if (scheduled_counter_ != nullptr) {
-    scheduled_counter_->inc();
-    (stored_inline ? inline_counter_ : spilled_counter_)->inc();
-  }
   note_depth();
-  return (static_cast<EventId>(gen) << 32) | slot_index;
 }
 
-EventId Simulator::schedule_after(Time delay, EventFn fn) {
+void Simulator::schedule_after(Time delay, EventFn fn) {
   if (delay < 0) {
     throw std::invalid_argument("Simulator: negative delay");
   }
-  return schedule_at(now_ + delay, std::move(fn));
+  schedule_at(now_ + delay, std::move(fn));
 }
 
-void Simulator::cancel(EventId id) {
-  const std::uint32_t slot_index = static_cast<std::uint32_t>(id);
-  const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-  if (slot_index >= slot_count_) return;
+// The slot stays OFF the free list until the closure returns: chunk
+// addresses are stable, so the closure runs in place (no move) while
+// reschedules grow the slab around it.
+void Simulator::execute_top() {
+  const HeapKey key = heap_keys_.front();
+  const std::uint32_t slot_index = heap_slots_.front();
+  heap_pop_top();
   Slot& slot = slot_at(slot_index);
-  if (!slot.active || slot.generation != gen) return;  // ran or cancelled
-  slot.fn = nullptr;  // release the closure (and any spill block) now
-  free_slot(slot_index);
-  --live_;
-  ++stats_.cancelled;
-  if (cancelled_counter_ != nullptr) cancelled_counter_->inc();
-  if (depth_gauge_ != nullptr) depth_gauge_->set(static_cast<double>(live_));
-  // The heap entry stays behind as a tombstone; pop_one() discards it
-  // when it reaches the top (generation mismatch).
-}
-
-// Retire the id before invoking so a handler cancelling itself is
-// a no-op, but keep the slot OFF the free list until the closure
-// returns: chunk addresses are stable, so the closure runs in
-// place (no move) while reschedules grow the slab around it.
-void Simulator::execute_ref(HeapKey key, HeapRef ref) {
-  Slot& slot = slot_at(ref.slot);
-  slot.active = false;
-  ++slot.generation;
   --live_;
   now_ = key.when;
   exec_when_ = key.when;
   exec_seq_ = key.seq;
   ++stats_.executed;
-  if (executed_counter_ != nullptr) executed_counter_->inc();
-  if (depth_gauge_ != nullptr) depth_gauge_->set(static_cast<double>(live_));
   if (prof_ != nullptr) {
     // Exact event count; ticks are stride-sampled (see ProfSink): the
     // clock is read on the first event after loop entry and every
@@ -224,7 +181,7 @@ void Simulator::execute_ref(HeapKey key, HeapRef ref) {
   }
   slot.fn = nullptr;
   slot.next_free = free_head_;
-  free_head_ = ref.slot;
+  free_head_ = slot_index;
 }
 
 void Simulator::prof_close(std::uint64_t loop_t0) {
@@ -237,30 +194,10 @@ void Simulator::prof_close(std::uint64_t loop_t0) {
   obs::detail::t_exec_category = 0;
 }
 
-bool Simulator::pop_one() {
-  while (!heap_keys_.empty()) {
-    const HeapKey top = heap_keys_.front();
-    const HeapRef top_ref = heap_refs_.front();
-    heap_pop_top();
-    Slot& slot = slot_at(top_ref.slot);
-    if (!slot.active || slot.generation != top_ref.gen) {
-      continue;  // tombstone
-    }
-    execute_ref(top, top_ref);
-    return true;
-  }
-  return false;
-}
-
-int Simulator::step_top() {
-  if (heap_keys_.empty()) return -1;
-  const HeapKey top = heap_keys_.front();
-  const HeapRef top_ref = heap_refs_.front();
-  heap_pop_top();
-  Slot& slot = slot_at(top_ref.slot);
-  if (!slot.active || slot.generation != top_ref.gen) return 0;  // tombstone
-  execute_ref(top, top_ref);
-  if (prof_ != nullptr && window_log_ == nullptr) {
+bool Simulator::step_top() {
+  if (heap_keys_.empty()) return false;
+  execute_top();
+  if (prof_ != nullptr) {
     // Micro-stepping (the sharded coordinator popping one event at a
     // time): close the measurement per event so coordinator work
     // between steps is never charged to a handler. Inside run_window
@@ -271,7 +208,7 @@ int Simulator::step_top() {
     prof_->pending = false;
     obs::detail::t_exec_category = 0;
   }
-  return 1;
+  return true;
 }
 
 std::size_t Simulator::run_window(Time window_end, ShardWindowLog* log) {
@@ -280,10 +217,9 @@ std::size_t Simulator::run_window(Time window_end, ShardWindowLog* log) {
   window_local_seq_ = 0;
   const std::uint64_t t0 = prof_ != nullptr ? obs::prof_ticks() : 0;
   std::size_t executed = 0;
-  // step_top (not pop_one) so a tombstone never drags execution past
-  // the window bound; the condition is re-checked after every pop.
   while (!heap_keys_.empty() && heap_keys_.front().when < window_end) {
-    if (step_top() == 1) ++executed;
+    execute_top();
+    ++executed;
   }
   if (prof_ != nullptr) prof_close(t0);
   window_log_ = nullptr;
@@ -296,9 +232,8 @@ void Simulator::insert_with_seq(Time when, std::uint64_t seq, EventFn fn,
   const std::uint32_t slot_index = acquire_slot();
   Slot& slot = slot_at(slot_index);
   slot.fn = std::move(fn);
-  slot.active = true;
   slot.category = category;
-  heap_push(HeapKey{when, seq}, HeapRef{slot_index, slot.generation});
+  heap_push(HeapKey{when, seq}, slot_index);
   ++live_;
   ++stats_.scheduled;
   if (stored_inline) {
@@ -306,29 +241,21 @@ void Simulator::insert_with_seq(Time when, std::uint64_t seq, EventFn fn,
   } else {
     ++stats_.spilled_events;
   }
-  if (scheduled_counter_ != nullptr) {
-    scheduled_counter_->inc();
-    (stored_inline ? inline_counter_ : spilled_counter_)->inc();
-  }
   note_depth();
 }
 
-bool Simulator::reinsert_parked(std::uint32_t slot_index,
-                                std::uint32_t generation, Time when,
+void Simulator::reinsert_parked(std::uint32_t slot_index, Time when,
                                 std::uint64_t seq) {
-  if (slot_index >= slot_count_) return false;
-  Slot& slot = slot_at(slot_index);
-  // Cancelled while parked: the slot was freed (generation bumped) and
-  // live_/stats_ already adjusted by cancel(); only the seq is spent.
-  if (!slot.active || slot.generation != generation) return false;
-  heap_push(HeapKey{when, seq}, HeapRef{slot_index, generation});
-  return true;
+  heap_push(HeapKey{when, seq}, slot_index);
 }
 
 std::size_t Simulator::run() {
   const std::uint64_t t0 = prof_ != nullptr ? obs::prof_ticks() : 0;
   std::size_t executed = 0;
-  while (pop_one()) ++executed;
+  while (!heap_keys_.empty()) {
+    execute_top();
+    ++executed;
+  }
   if (prof_ != nullptr) prof_close(t0);
   return executed;
 }
@@ -336,11 +263,9 @@ std::size_t Simulator::run() {
 std::size_t Simulator::run_until(Time deadline) {
   const std::uint64_t t0 = prof_ != nullptr ? obs::prof_ticks() : 0;
   std::size_t executed = 0;
-  // Deliberately checks the raw heap top — tombstones included — to
-  // match the pre-slab engine's loop condition exactly, keeping replay
-  // digests identical for runs that mix cancel() with run_until().
   while (!heap_keys_.empty() && heap_keys_.front().when <= deadline) {
-    if (pop_one()) ++executed;
+    execute_top();
+    ++executed;
   }
   if (now_ < deadline) now_ = deadline;
   if (prof_ != nullptr) prof_close(t0);
@@ -350,26 +275,12 @@ std::size_t Simulator::run_until(Time deadline) {
 std::size_t Simulator::run_steps(std::size_t limit) {
   const std::uint64_t t0 = prof_ != nullptr ? obs::prof_ticks() : 0;
   std::size_t executed = 0;
-  while (executed < limit && pop_one()) ++executed;
+  while (executed < limit && !heap_keys_.empty()) {
+    execute_top();
+    ++executed;
+  }
   if (prof_ != nullptr) prof_close(t0);
   return executed;
-}
-
-void Simulator::bind_metrics(obs::MetricsRegistry& registry) {
-  registry.set_help("sim.queue.depth", "Events pending in the engine heap");
-  registry.set_help("sim.queue.max_depth", "High-water pending-event count");
-  registry.set_help("sim.queue.scheduled", "Events scheduled since start");
-  registry.set_help("sim.queue.executed", "Events executed since start");
-  registry.set_help("sim.queue.cancelled", "Events cancelled before running");
-  depth_gauge_ = &registry.gauge("sim.queue.depth");
-  max_depth_gauge_ = &registry.gauge("sim.queue.max_depth");
-  scheduled_counter_ = &registry.counter("sim.queue.scheduled");
-  executed_counter_ = &registry.counter("sim.queue.executed");
-  cancelled_counter_ = &registry.counter("sim.queue.cancelled");
-  inline_counter_ = &registry.counter("sim.queue.inline");
-  spilled_counter_ = &registry.counter("sim.queue.spilled");
-  depth_gauge_->set(static_cast<double>(live_));
-  max_depth_gauge_->set(static_cast<double>(stats_.max_depth));
 }
 
 }  // namespace roads::sim

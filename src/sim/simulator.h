@@ -9,12 +9,12 @@
 // Engine layout: event closures live in a chunked slab of reusable
 // slots (a free list threads through vacant entries; chunks are never
 // reallocated, so slot addresses are stable and closures execute in
-// place), and a 4-ary min-heap of 24-byte {when, seq, slot, gen}
-// entries orders execution. EventIds pack (generation << 32 | slot);
-// cancel() is an O(1) tombstone — it bumps the slot's generation and
-// frees it, and the stale heap entry is skipped when it surfaces
-// because its generation no longer matches. No per-event hashing, no
-// allocation for closures that fit the EventFn inline buffer.
+// place), and a 4-ary min-heap of {when, seq} keys with a parallel
+// array of slot indices orders execution. Every heap entry is a live
+// event: no protocol withdraws a scheduled event (components that must
+// go quiet guard their own closures, e.g. with an epoch), so the engine
+// has no cancellation. No per-event hashing, no allocation for closures
+// that fit the EventFn inline buffer.
 #pragma once
 
 #include <cstddef>
@@ -27,19 +27,12 @@
 #include "util/unique_function.h"
 
 namespace roads::obs {
-class Counter;
-class Gauge;
-class MetricsRegistry;
 struct ProfSink;
 }  // namespace roads::obs
 
 namespace roads::sim {
 
 struct ShardWindowLog;
-
-/// Packed (generation << 32 | slot). Generations start at 1, so a
-/// valid id is never 0 and a stale id can never match a reused slot.
-using EventId = std::uint64_t;
 
 /// Inline capacity 48 covers every protocol timer, fault transition
 /// and trampoline closure in the tree, keeping slab slots compact so
@@ -51,12 +44,12 @@ using EventFn = util::UniqueFunction<void(), 48>;
 
 class Simulator {
  public:
-  /// Lifecycle tallies; inline/spilled split what fraction of event
-  /// closures fit EventFn's buffer (spills hit the util::spill pool).
+  /// The engine's event ledger; inline/spilled split what fraction of
+  /// event closures fit EventFn's buffer (spills hit the util::spill
+  /// pool).
   struct Stats {
     std::uint64_t scheduled = 0;
     std::uint64_t executed = 0;
-    std::uint64_t cancelled = 0;
     std::uint64_t inline_events = 0;
     std::uint64_t spilled_events = 0;
     std::size_t max_depth = 0;  // high-water pending_events()
@@ -67,19 +60,14 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
 
   Time now() const { return now_; }
-  /// Events scheduled but neither executed nor cancelled.
+  /// Events scheduled but not yet executed.
   std::size_t pending_events() const { return live_; }
 
-  /// Schedules `fn` at absolute time `when` (>= now). Returns an id
-  /// usable with cancel().
-  EventId schedule_at(Time when, EventFn fn);
+  /// Schedules `fn` at absolute time `when` (>= now).
+  void schedule_at(Time when, EventFn fn);
 
   /// Schedules `fn` after a relative delay (>= 0).
-  EventId schedule_after(Time delay, EventFn fn);
-
-  /// Prevents a pending event from running; no-op if it already ran,
-  /// was already cancelled, or never existed. O(1).
-  void cancel(EventId id);
+  void schedule_after(Time delay, EventFn fn);
 
   /// Runs events until the queue drains. Returns the number executed.
   std::size_t run();
@@ -98,11 +86,6 @@ class Simulator {
   /// Stats::max_depth (a whole-run high-water mark), a periodic reader
   /// (obs::Timeline) gets one watermark per sampling window.
   std::size_t take_window_max_depth();
-
-  /// Publishes sim.queue.{depth,max_depth} gauges and
-  /// sim.queue.{scheduled,executed,cancelled,inline,spilled} counters
-  /// into `registry`. Unbound simulators pay one branch per event.
-  void bind_metrics(obs::MetricsRegistry& registry);
 
   /// Attaches a profiling sink (see obs/profile.h): every schedule tags
   /// the event's slot with the current thread-local category, and the
@@ -149,8 +132,8 @@ class Simulator {
   /// Runs every event with time < `window_end`, logging schedules into
   /// `log` (see window_log.h). In-window schedules targeting times
   /// before `window_end` enter the heap as phase-1; later targets are
-  /// parked — the slot is held (the returned EventId stays cancellable)
-  /// but heap insertion waits for the barrier's seq assignment.
+  /// parked — the slot is held but heap insertion waits for the
+  /// barrier's seq assignment.
   std::size_t run_window(Time window_end, ShardWindowLog* log);
 
   /// Barrier-time insertion of a cross-shard delivery with its merged
@@ -161,13 +144,10 @@ class Simulator {
                        std::uint8_t category = 0);
 
   /// Barrier-time heap insertion of a parked event (slot already holds
-  /// the closure). Returns false if the event was cancelled in-window
-  /// (generation mismatch) — the seq is still consumed, as it would
-  /// have been sequentially.
-  bool reinsert_parked(std::uint32_t slot_index, std::uint32_t generation,
-                       Time when, std::uint64_t seq);
+  /// the closure).
+  void reinsert_parked(std::uint32_t slot_index, Time when, std::uint64_t seq);
 
-  /// Raw heap top — tombstones included — for cross-engine merging.
+  /// Heap top key, for cross-engine merging.
   bool top_key(Time& when, std::uint64_t& seq) const {
     if (heap_keys_.empty()) return false;
     when = heap_keys_.front().when;
@@ -175,11 +155,10 @@ class Simulator {
     return true;
   }
 
-  /// Pops exactly the top heap entry: 1 = executed a live event, 0 =
-  /// discarded a tombstone, -1 = heap empty. Unlike run_steps(1) this
-  /// never skips ahead past a tombstone — the sharded coordinator must
-  /// re-compare engines after every pop to preserve the global order.
-  int step_top();
+  /// Executes the top heap entry; false when the heap is empty. The
+  /// sharded coordinator re-compares engines after every step to
+  /// preserve the global order.
+  bool step_top();
 
   /// Moves the clock forward to `t` if it lags (never backwards). The
   /// coordinator keeps engine clocks in sync so now() reads anywhere
@@ -197,29 +176,23 @@ class Simulator {
  private:
   // Heap entries carry the ordering keys directly so sifting never
   // chases the slot indirection; 4-ary halves the depth vs binary.
-  // Keys and slot refs live in parallel arrays so one sift comparison
-  // touches a 16-byte key only — a 4-child sibling group is a single
-  // cache line instead of 1.5.
+  // Keys and slot indices live in parallel arrays so one sift
+  // comparison touches a 16-byte key only — a 4-child sibling group is
+  // a single cache line instead of 1.5.
   struct HeapKey {
     Time when;
     std::uint64_t seq;
   };
-  struct HeapRef {
-    std::uint32_t slot;
-    std::uint32_t gen;
-  };
   struct Slot {
     EventFn fn;
-    std::uint32_t generation = 1;
     std::uint32_t next_free = kNoSlot;
-    bool active = false;
     std::uint8_t category = 0;  // profiling tag (rides existing padding)
     obs::TraceContext trace;    // causal context (tracing runs only)
   };
   static constexpr std::uint32_t kNoSlot = 0xffffffffu;
   // Fixed-size chunks keep slot addresses stable as the slab grows —
-  // growth never move-constructs existing closures, and pop_one can
-  // run a closure in place while the handler schedules freely.
+  // growth never move-constructs existing closures, and execute_top
+  // can run a closure in place while the handler schedules freely.
   static constexpr std::uint32_t kChunkShift = 8;
   static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
 
@@ -228,16 +201,15 @@ class Simulator {
     return a.seq < b.seq;  // FIFO among same-instant events
   }
 
-  bool pop_one();
-  void execute_ref(HeapKey key, HeapRef ref);
+  /// Pops the heap top and runs its closure in place.
+  void execute_top();
   /// Closes the profiler's pending self-time measurement (the last
   /// handler's interval ends where the drive loop does) and folds the
   /// loop's wall ticks into the sink's work accounting.
   void prof_close(std::uint64_t loop_t0);
-  void heap_push(HeapKey key, HeapRef ref);
+  void heap_push(HeapKey key, std::uint32_t slot_index);
   void heap_pop_top();
   std::uint32_t acquire_slot();
-  void free_slot(std::uint32_t slot_index);
   void note_depth();
 
   Slot& slot_at(std::uint32_t slot_index) {
@@ -256,21 +228,13 @@ class Simulator {
   std::size_t window_max_depth_ = 0;
   std::size_t slot_count_ = 0;
   std::vector<HeapKey> heap_keys_;
-  std::vector<HeapRef> heap_refs_;
+  std::vector<std::uint32_t> heap_slots_;
   std::vector<std::unique_ptr<Slot[]>> chunks_;
   std::uint32_t free_head_ = kNoSlot;
   Stats stats_;
 
   obs::ProfSink* prof_ = nullptr;  // non-null: handler profiling on
   bool tracing_ = false;           // stamp + install trace contexts
-
-  obs::Gauge* depth_gauge_ = nullptr;
-  obs::Gauge* max_depth_gauge_ = nullptr;
-  obs::Counter* scheduled_counter_ = nullptr;
-  obs::Counter* executed_counter_ = nullptr;
-  obs::Counter* cancelled_counter_ = nullptr;
-  obs::Counter* inline_counter_ = nullptr;
-  obs::Counter* spilled_counter_ = nullptr;
 };
 
 }  // namespace roads::sim

@@ -46,7 +46,6 @@ struct ShardWindowLog {
     Kind kind = Kind::kSchedule;
     Time when = 0;                // kSchedule / kCross: target time
     std::uint32_t slot = 0;       // kSchedule(parked): slab slot
-    std::uint32_t generation = 0; // kSchedule(parked): slot generation
     std::uint64_t index = 0;      // kSchedule: local serial; kCross: fn index
     std::uint32_t target_shard = 0;  // kCross
     bool parked = false;             // kSchedule

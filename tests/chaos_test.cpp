@@ -625,5 +625,40 @@ TEST(Chaos, TelemetryRecoveryIsDeterministic) {
   EXPECT_FALSE(first.csv.empty());
 }
 
+// The timeline's one queue-depth series, probe.queue.window_max_depth,
+// sums every engine's watermark. Under the sharded engine the protocol
+// timers and deliveries live in the shard heaps, not in the coordinator
+// heap the sampler ticks on, so every window must read more than the
+// coordinator heap alone ever held.
+TEST(Chaos, TelemetryQueueDepthProbeCountsShardEngines) {
+  auto params = chaos_params(sweep_seeds().front());
+  params.threads = 4;
+  Federation fed(std::move(params));
+  ASSERT_NE(fed.sharded(), nullptr);
+  ASSERT_EQ(fed.sharded()->shard_count(), 4u);
+  fed.add_servers(16);
+  seed_identifiable(fed, 16);
+  fed.start();
+
+  exp::TelemetryOptions topts;
+  topts.timeline.window = sim::seconds(5);
+  topts.audit_query_dimensions = 2;  // the chaos schema has 2 attributes
+  auto timeline = exp::attach_timeline(fed, topts);
+  // Started on the coordinator alone, the sampler would go inert after
+  // one window: it re-arms only while events are pending, and the
+  // coordinator heap holds nothing but the sampler's own tick.
+  timeline->start(*fed.sharded());
+  fed.stabilize();
+
+  // Stabilization spans at least two refresh periods plus 5 s.
+  ASSERT_GE(timeline->windows().size(), 5u);
+  const auto coordinator_max =
+      static_cast<double>(fed.simulator().stats().max_depth);
+  for (const auto& w : timeline->windows()) {
+    EXPECT_GT(w.value("probe.queue.window_max_depth"), coordinator_max)
+        << "window " << w.index;
+  }
+}
+
 }  // namespace
 }  // namespace roads

@@ -32,16 +32,6 @@ TEST(Counter, IncrementAndReset) {
   EXPECT_EQ(c.value(), 0u);
 }
 
-TEST(Gauge, SetAndAdd) {
-  obs::Gauge g;
-  g.set(2.5);
-  EXPECT_DOUBLE_EQ(g.value(), 2.5);
-  g.add(1.5);
-  EXPECT_DOUBLE_EQ(g.value(), 4.0);
-  g.add(-4.0);
-  EXPECT_DOUBLE_EQ(g.value(), 0.0);
-}
-
 TEST(Histogram, BucketCountsMatchBounds) {
   obs::Histogram h({1.0, 10.0, 100.0});
   h.record(0.5);    // <= 1
@@ -102,24 +92,6 @@ TEST(Counter, TakeWindowsLoseNoIncrementsUnderContention) {
   EXPECT_EQ(taken.load() + c.value(), kWriters * kPerWriter);
 }
 
-// Gauge::add is a CAS loop, so concurrent deltas are never lost. The
-// deltas here are exactly representable in double (powers of two), so
-// the result must be exact regardless of addition order.
-TEST(Gauge, ConcurrentAddLosesNoUpdates) {
-  obs::Gauge g;
-  constexpr std::size_t kTasks = 16;
-  constexpr std::size_t kPerTask = 20'000;
-  util::ThreadPool pool(4);
-  pool.parallel_for(kTasks, [&g](std::size_t i) {
-    // Half the tasks add, half subtract; the residue is known exactly.
-    const double delta = (i % 2 == 0) ? 1.0 : -0.5;
-    for (std::size_t k = 0; k < kPerTask; ++k) g.add(delta);
-  });
-  const double expected =
-      (kTasks / 2) * kPerTask * 1.0 - (kTasks / 2) * kPerTask * 0.5;
-  EXPECT_DOUBLE_EQ(g.value(), expected);
-}
-
 TEST(MetricsRegistry, GetOrCreateReturnsSameInstrument) {
   obs::MetricsRegistry registry;
   obs::Counter& a = registry.counter("roads.query.hops");
@@ -155,13 +127,11 @@ TEST(MetricsRegistry, ConcurrentRecordingFromThreadPool) {
 TEST(MetricsRegistry, SnapshotFlattensInstruments) {
   obs::MetricsRegistry registry;
   registry.counter("c").inc(7);
-  registry.gauge("g").set(1.25);
   obs::Histogram& h = registry.histogram("h");
   h.record(10.0);
   h.record(20.0);
   const auto snap = registry.snapshot();
   EXPECT_DOUBLE_EQ(snap.get("c"), 7.0);
-  EXPECT_DOUBLE_EQ(snap.get("g"), 1.25);
   EXPECT_DOUBLE_EQ(snap.get("h.count"), 2.0);
   EXPECT_DOUBLE_EQ(snap.get("h.mean"), 15.0);
   EXPECT_DOUBLE_EQ(snap.get("h.max"), 20.0);
@@ -316,7 +286,6 @@ TEST(Export, JsonHelpers) {
 TEST(Export, PrometheusExposition) {
   obs::MetricsRegistry registry;
   registry.counter("net.query.messages").inc(3);
-  registry.gauge("hierarchy.height").set(4.0);
   obs::Histogram& h = registry.histogram("overlay.put_us", {1.0, 10.0});
   h.record(0.5);
   h.record(5.0);
@@ -327,7 +296,6 @@ TEST(Export, PrometheusExposition) {
   EXPECT_NE(text.find("# TYPE roads_net_query_messages counter"),
             std::string::npos);
   EXPECT_NE(text.find("roads_net_query_messages 3"), std::string::npos);
-  EXPECT_NE(text.find("roads_hierarchy_height 4"), std::string::npos);
   // Cumulative buckets: le="1" -> 1, le="10" -> 2, le="+Inf" -> 3.
   EXPECT_NE(text.find("roads_overlay_put_us_bucket{le=\"1\"} 1"),
             std::string::npos);
@@ -567,7 +535,7 @@ TEST(Export, PrometheusHelpLinesUseRegisteredTextOrDottedName) {
   registry.counter("net.query.messages").inc(1);
   registry.set_help("net.query.messages",
                     "Query messages sent across the federation");
-  registry.gauge("hierarchy.height").set(2.0);  // no help set
+  registry.counter("net.update.bytes").inc(2);  // no help set
   registry.histogram("overlay.put_us", {1.0}).record(0.5);
   registry.set_help("overlay.put_us", "line one\nwith \\ backslash");
   std::ostringstream os;
@@ -578,7 +546,7 @@ TEST(Export, PrometheusHelpLinesUseRegisteredTextOrDottedName) {
             std::string::npos)
       << text;
   // No help registered: the dotted instrument name is the fallback.
-  EXPECT_NE(text.find("# HELP roads_hierarchy_height hierarchy.height"),
+  EXPECT_NE(text.find("# HELP roads_net_update_bytes net.update.bytes"),
             std::string::npos)
       << text;
   // Exposition-format escaping: newline and backslash only.
