@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
                               : sim::seconds(5);
   topts.audit_seed = profile.base.seed ^ 0x0b5e;
   const auto timeline = exp::attach_timeline(fed, topts);
-  timeline->start(fed.simulator());
+  exp::start_timeline(fed, *timeline);
   fed.set_refresh_paused(true);
 
   // --- Central repository with the same records ---

@@ -22,6 +22,8 @@
 //                       channel counters and queue watermark every 1 s
 //                       of sim time — the telemetry acceptance check
 //                       (probe overhead budget: <= 2% vs net_send).
+//                       net_send, net_send_probed and net_send_profiled
+//                       run as one paired measurement (net_send_pair).
 //   net_send_profiled   net_send with an obs::Profiler sink attached —
 //                       every delivery is category-tagged and timed —
 //                       the profiler acceptance check (overhead budget:
@@ -68,6 +70,19 @@ struct WorkloadResult {
   double spill_pct = 0.0;
 };
 
+/// Keeps the faster run: `best` takes this run's time and counts when
+/// it is the first (`best.ms == 0`) or quicker.
+void keep_faster(WorkloadResult& best, double ms,
+                 const sim::Simulator::Stats& stats) {
+  if (best.ms != 0.0 && ms >= best.ms) return;
+  best.ms = ms;
+  best.executed = stats.executed;
+  const double scheduled =
+      static_cast<double>(stats.inline_events + stats.spilled_events);
+  best.spill_pct =
+      scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
+}
+
 template <class Body>
 WorkloadResult run_workload(Body body) {
   WorkloadResult best;
@@ -75,16 +90,7 @@ WorkloadResult run_workload(Body body) {
     sim::Simulator sim;
     const auto t0 = std::chrono::steady_clock::now();
     body(sim);
-    const double ms = wall_ms(t0);
-    const auto& stats = sim.stats();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.executed = stats.executed;
-      const double scheduled =
-          static_cast<double>(stats.inline_events + stats.spilled_events);
-      best.spill_pct =
-          scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
-    }
+    keep_faster(best, wall_ms(t0), sim.stats());
   }
   return best;
 }
@@ -146,135 +152,101 @@ WorkloadResult run_net_workload(Body body) {
     const auto t0 = std::chrono::steady_clock::now();
     body(sim, net);
     sim.run();
-    const double ms = wall_ms(t0);
-    const auto& stats = sim.stats();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.executed = stats.executed;
-      const double scheduled =
-          static_cast<double>(stats.inline_events + stats.spilled_events);
-      best.spill_pct =
-          scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
-    }
+    keep_faster(best, wall_ms(t0), sim.stats());
   }
   return best;
 }
 
-/// net_send and net_send_profiled share one paired measurement: each
-/// repetition runs the plain and profiled legs back to back, the
-/// overhead is the MEDIAN of the per-pair ratios, and the table rows
-/// keep the per-leg minima. On a shared host, wall-clock drift between
-/// distant measurements dwarfs a 2% effect; adjacent pairs see the
-/// same conditions and the median sheds the odd preempted pair.
+/// net_send, net_send_profiled and net_send_probed share one paired
+/// measurement: each repetition runs the plain, profiled and probed
+/// legs back to back, each overhead is the MEDIAN of the per-repetition
+/// ratios against the plain leg, and the table rows keep the per-leg
+/// minima. On a shared host, wall-clock drift between distant
+/// measurements dwarfs a 2% effect; adjacent legs see the same
+/// conditions and the median sheds the odd preempted repetition.
 struct NetSendPair {
   WorkloadResult plain;
   WorkloadResult profiled;
-  double overhead_pct = 0.0;
+  WorkloadResult probed;
+  double profiler_overhead_pct = 0.0;
+  double probe_overhead_pct = 0.0;
 };
 
-NetSendPair net_send_pair() {
-  constexpr int kPairs = 7;
-  NetSendPair best;
-  std::vector<double> ratios;
-  ratios.reserve(kPairs);
-  for (int rep = 0; rep < kPairs; ++rep) {
-    double pair_ms[2] = {0.0, 0.0};
-    for (int leg = 0; leg < 2; ++leg) {
-      const bool with_profiler = leg == 1;
-      sim::Simulator sim;
-      sim::DelaySpace space(16, util::Rng(7));
-      sim::Network net(sim, space, util::Rng(11));
-      obs::Profiler profiler;
-      if (with_profiler) sim.set_profile_sink(&profiler.sink(0));
+enum class NetSendLeg { kPlain, kProfiled, kProbed };
 
-      const auto t0 = std::chrono::steady_clock::now();
-      constexpr std::size_t kWindow = 1024;
-      auto sent = std::make_shared<std::size_t>(0);
-      auto sink = std::make_shared<std::uint64_t>(0);
-      auto pump = std::make_shared<util::UniqueFunction<void()>>();
-      *pump = [&net, sent, sink, pump] {
-        if (*sent >= kEvents) return;
-        const std::size_t i = (*sent)++;
-        net.send(static_cast<sim::NodeId>(i % 16),
-                 static_cast<sim::NodeId>((i + 3) % 16), 64 + i % 128,
-                 sim::Channel::kQuery, [sink, pump, i] {
-                   *sink += i;
-                   (*pump)();
-                 });
-      };
-      for (std::size_t w = 0; w < kWindow; ++w) (*pump)();
-      sim.run();
-      const double ms = wall_ms(t0);
-      pair_ms[leg] = ms;
-      const auto& stats = sim.stats();
-      WorkloadResult& slot = with_profiler ? best.profiled : best.plain;
-      if (slot.ms == 0.0 || ms < slot.ms) {
-        slot.ms = ms;
-        slot.executed = stats.executed;
-        const double scheduled =
-            static_cast<double>(stats.inline_events + stats.spilled_events);
-        slot.spill_pct =
-            scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
-      }
-    }
-    if (pair_ms[0] > 0.0) ratios.push_back(pair_ms[1] / pair_ms[0]);
-  }
-  if (!ratios.empty()) {
-    std::sort(ratios.begin(), ratios.end());
-    best.overhead_pct = (ratios[ratios.size() / 2] - 1.0) * 100.0;
-  }
-  return best;
-}
-
-// net_send with a live telemetry sampler: same windowed pump, plus a
-// Timeline windowing the query-channel counters and the queue-depth
-// watermark once per simulated second. The delta vs net_send is the
-// whole cost of carrying probes in a hot event loop.
-WorkloadResult net_send_probed() {
-  WorkloadResult best;
-  for (int rep = 0; rep < kRepeats; ++rep) {
-    sim::Simulator sim;
-    sim::DelaySpace space(16, util::Rng(7));
-    obs::MetricsRegistry registry;
-    sim::Network net(sim, space, util::Rng(11), &registry);
-    obs::TimelineConfig tcfg;
-    tcfg.window = sim::seconds(1);
-    obs::Timeline timeline(registry, tcfg);
+/// One net_send run: kEvents Network::send deliveries with a bounded
+/// window in flight. The profiled leg attaches an obs::Profiler sink;
+/// the probed leg meters the network into a registry and runs a
+/// Timeline windowing the query-channel counters and the queue-depth
+/// watermark once per simulated second, the whole cost of carrying
+/// probes in a hot event loop. Returns the run's wall ms and keeps the
+/// faster run in `best`.
+double net_send_leg(NetSendLeg leg, WorkloadResult& best) {
+  sim::Simulator sim;
+  sim::DelaySpace space(16, util::Rng(7));
+  obs::MetricsRegistry registry;
+  sim::Network net(sim, space, util::Rng(11),
+                   leg == NetSendLeg::kProbed ? &registry : nullptr);
+  obs::Profiler profiler;
+  if (leg == NetSendLeg::kProfiled) sim.set_profile_sink(&profiler.sink(0));
+  obs::TimelineConfig tcfg;
+  tcfg.window = sim::seconds(1);
+  obs::Timeline timeline(registry, tcfg);
+  if (leg == NetSendLeg::kProbed) {
     timeline.track_counter("net.query.messages");
     timeline.track_counter("net.query.bytes");
     timeline.add_probe("queue.window_max_depth", [&sim](sim::Time) {
       return static_cast<double>(sim.take_window_max_depth());
     });
+  }
 
-    const auto t0 = std::chrono::steady_clock::now();
-    constexpr std::size_t kWindow = 1024;
-    auto sent = std::make_shared<std::size_t>(0);
-    auto sink = std::make_shared<std::uint64_t>(0);
-    auto pump = std::make_shared<util::UniqueFunction<void()>>();
-    *pump = [&net, sent, sink, pump] {
-      if (*sent >= kEvents) return;
-      const std::size_t i = (*sent)++;
-      net.send(static_cast<sim::NodeId>(i % 16),
-               static_cast<sim::NodeId>((i + 3) % 16), 64 + i % 128,
-               sim::Channel::kQuery, [sink, pump, i] {
-                 *sink += i;
-                 (*pump)();
-               });
-    };
-    for (std::size_t w = 0; w < kWindow; ++w) (*pump)();
-    timeline.start(sim);  // self-terminating once the pump drains
-    sim.run();
-    const double ms = wall_ms(t0);
-    const auto& stats = sim.stats();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.executed = stats.executed;
-      const double scheduled =
-          static_cast<double>(stats.inline_events + stats.spilled_events);
-      best.spill_pct =
-          scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
+  const auto t0 = std::chrono::steady_clock::now();
+  constexpr std::size_t kWindow = 1024;
+  auto sent = std::make_shared<std::size_t>(0);
+  auto sink = std::make_shared<std::uint64_t>(0);
+  auto pump = std::make_shared<util::UniqueFunction<void()>>();
+  *pump = [&net, sent, sink, pump] {
+    if (*sent >= kEvents) return;
+    const std::size_t i = (*sent)++;
+    net.send(static_cast<sim::NodeId>(i % 16),
+             static_cast<sim::NodeId>((i + 3) % 16), 64 + i % 128,
+             sim::Channel::kQuery, [sink, pump, i] {
+               *sink += i;
+               (*pump)();
+             });
+  };
+  for (std::size_t w = 0; w < kWindow; ++w) (*pump)();
+  // Self-terminating once the pump drains.
+  if (leg == NetSendLeg::kProbed) timeline.start(sim);
+  sim.run();
+  const double ms = wall_ms(t0);
+  keep_faster(best, ms, sim.stats());
+  return ms;
+}
+
+/// (median ratio - 1) in percent; 0 for no ratios.
+double median_overhead_pct(std::vector<double> ratios) {
+  if (ratios.empty()) return 0.0;
+  std::sort(ratios.begin(), ratios.end());
+  return (ratios[ratios.size() / 2] - 1.0) * 100.0;
+}
+
+NetSendPair net_send_pair() {
+  constexpr int kPairs = 7;
+  NetSendPair best;
+  std::vector<double> profiled_ratios, probed_ratios;
+  for (int rep = 0; rep < kPairs; ++rep) {
+    const double plain_ms = net_send_leg(NetSendLeg::kPlain, best.plain);
+    const double profiled_ms =
+        net_send_leg(NetSendLeg::kProfiled, best.profiled);
+    const double probed_ms = net_send_leg(NetSendLeg::kProbed, best.probed);
+    if (plain_ms > 0.0) {
+      profiled_ratios.push_back(profiled_ms / plain_ms);
+      probed_ratios.push_back(probed_ms / plain_ms);
     }
   }
+  best.profiler_overhead_pct = median_overhead_pct(std::move(profiled_ratios));
+  best.probe_overhead_pct = median_overhead_pct(std::move(probed_ratios));
   return best;
 }
 
@@ -324,16 +296,7 @@ WorkloadResult sharded_chain(std::size_t shards) {
           node, kLat, [hop, c, node] { (*hop)(c, node, kLat, kHops); });
     }
     sharded.run_until(kLat * static_cast<sim::Time>(kHops + 2));
-    const double ms = wall_ms(t0);
-    const auto stats = sharded.stats();
-    if (rep == 0 || ms < best.ms) {
-      best.ms = ms;
-      best.executed = stats.executed;
-      const double scheduled =
-          static_cast<double>(stats.inline_events + stats.spilled_events);
-      best.spill_pct =
-          scheduled > 0.0 ? 100.0 * stats.spilled_events / scheduled : 0.0;
-    }
+    keep_faster(best, wall_ms(t0), sharded.stats());
   }
   return best;
 }
@@ -366,17 +329,17 @@ int main(int argc, char** argv) {
   // reproduces in every attempt, a preemption spike does not, so the
   // minimum is the faithful estimate for a 2% budget on a shared host.
   auto pair = net_send_pair();
-  for (int attempt = 1; attempt < 3 && pair.overhead_pct > 2.0; ++attempt) {
+  for (int attempt = 1; attempt < 3 && pair.profiler_overhead_pct > 2.0;
+       ++attempt) {
     auto retry = net_send_pair();
-    if (retry.overhead_pct < pair.overhead_pct) pair = retry;
+    if (retry.profiler_overhead_pct < pair.profiler_overhead_pct) {
+      pair = retry;
+    }
   }
-  const auto plain = pair.plain;
-  const auto profiled = pair.profiled;
-  add_row(table, "net_send", plain);
+  add_row(table, "net_send", pair.plain);
   add_row(table, "net_burst", net_burst());
-  const auto probed = net_send_probed();
-  add_row(table, "net_send_probed", probed);
-  add_row(table, "net_send_profiled", profiled);
+  add_row(table, "net_send_probed", pair.probed);
+  add_row(table, "net_send_profiled", pair.profiled);
   const auto s1 = sharded_chain(1);
   add_row(table, "sharded_chain_s1", s1);
   add_row(table, "sharded_chain_s2", sharded_chain(2));
@@ -385,16 +348,14 @@ int main(int argc, char** argv) {
   add_row(table, "sharded_chain_s8", s8);
   table.print(std::cout);
 
-  const double probe_overhead_pct =
-      plain.ms > 0.0 ? (probed.ms / plain.ms - 1.0) * 100.0 : 0.0;
   std::printf("\nprobe overhead: net_send_probed vs net_send = %+.2f%% "
-              "(telemetry budget: <= 2%% at a 1 s probe interval)\n",
-              probe_overhead_pct);
-  const double profiler_overhead_pct = pair.overhead_pct;
+              "(median of paired runs; telemetry budget: <= 2%% at a 1 s "
+              "probe interval)\n",
+              pair.probe_overhead_pct);
   std::printf("profiler overhead: net_send_profiled vs net_send = %+.2f%% "
               "(median of paired runs; budget: <= 2%% with a sink "
               "attached)\n",
-              profiler_overhead_pct);
+              pair.profiler_overhead_pct);
   if (s8.ms > 0.0) {
     std::printf("sharded engine: s1/s8 = %.2fx on the all-cross-shard "
                 "chain workload\n",
@@ -405,10 +366,10 @@ int main(int argc, char** argv) {
   // The profiler budget rides the same gate as the baseline diff: it
   // only turns the exit code red when the bench runs gated (CI passes
   // --baseline), so quick local runs don't fail on scheduler noise.
-  if (!profile.baseline_path.empty() && profiler_overhead_pct > 2.0) {
+  if (!profile.baseline_path.empty() && pair.profiler_overhead_pct > 2.0) {
     std::fprintf(stderr,
                  "profiler overhead %+.2f%% exceeds the 2%% budget\n",
-                 profiler_overhead_pct);
+                 pair.profiler_overhead_pct);
     rc = 1;
   }
   std::printf(

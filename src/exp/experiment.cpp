@@ -218,14 +218,7 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
     topts.audit_range_length = config.query_range_length;
     topts.audit_seed = run_seed ^ 0x0b5e;
     timeline = attach_timeline(fed, topts);
-    if (fed.sharded() != nullptr) {
-      // Sampler ticks are global (coordinator) events under sharding:
-      // they bound the parallel windows, so probes read protocol state
-      // only between windows, never concurrently with shard threads.
-      timeline->start(*fed.sharded());
-    } else {
-      timeline->start(fed.simulator());
-    }
+    start_timeline(fed, *timeline);
   }
   const auto stabilize_start = std::chrono::steady_clock::now();
   fed.stabilize();

@@ -223,4 +223,12 @@ std::unique_ptr<obs::Timeline> attach_timeline(
   return timeline;
 }
 
+void start_timeline(core::Federation& fed, obs::Timeline& timeline) {
+  if (fed.sharded() != nullptr) {
+    timeline.start(*fed.sharded());
+  } else {
+    timeline.start(fed.simulator());
+  }
+}
+
 }  // namespace roads::exp

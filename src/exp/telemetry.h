@@ -77,13 +77,20 @@ struct TelemetryOptions {
 /// (staleness bounded + divergence below threshold + flat update rate
 /// for the configured window streak).
 ///
-/// The caller still owns starting the sampler: call
-/// `timeline->start(fed.simulator())` — `timeline->start(*fed.sharded())`
-/// under the sharded engine, whose coordinator heap alone would let the
-/// sampler go inert — once the federation is formed
-/// (Federation::add_server drains the event queue between joins, and a
-/// self-rearming sampler would keep those drains from terminating).
+/// The caller still owns starting the sampler: call start_timeline
+/// once the federation is formed (Federation::add_server drains the
+/// event queue between joins, and a self-rearming sampler would keep
+/// those drains from terminating).
 std::unique_ptr<obs::Timeline> attach_timeline(core::Federation& fed,
                                                const TelemetryOptions& options);
+
+/// Starts `timeline`'s sampler on the engine that runs `fed`'s events:
+/// the sharded engine when there is one, else the simulator. The
+/// sampler re-arms only while events are pending, so started on a
+/// sharded run's coordinator heap, which holds nothing but the
+/// sampler's own tick, it would go inert after one window. Under
+/// sharding its ticks are global events that bound the parallel
+/// windows, so probes read protocol state only between windows.
+void start_timeline(core::Federation& fed, obs::Timeline& timeline);
 
 }  // namespace roads::exp

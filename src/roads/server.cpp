@@ -337,22 +337,25 @@ void RoadsServer::refresh_attachment_summaries(bool keepalive) {
 
 SummaryPtr RoadsServer::compute_local_summary() {
   const auto version = store_.version();
-  if (store_summary_.initialized() && version == store_summary_version_) {
+  if (store_summary_ && version == store_summary_version_) {
     summary_refresh_skipped_.inc();  // store untouched since the last build
   } else {
-    store_summary_ = store_.summarize(config_.summary);
+    store_summary_ = std::make_shared<const summary::ResourceSummary>(
+        store_.summarize(config_.summary));
     store_summary_version_ = version;
     summary_full_rebuilds_.inc();
   }
-  // Copy: attachment merges must not pollute the store summary.
-  summary::ResourceSummary local = store_summary_;
+  // The store summary is the local summary unless a summary-only
+  // attachment merges in; only then copy it, once.
+  std::optional<summary::ResourceSummary> local;
   for (const auto& att : attachments_) {
-    if (att.mode == ExportMode::kSummaryOnly && att.summary) {
-      local.merge(*att.summary);
-      summary_merges_.inc();
-    }
+    if (att.mode != ExportMode::kSummaryOnly || !att.summary) continue;
+    if (!local) local = *store_summary_;
+    local->merge(*att.summary);
+    summary_merges_.inc();
   }
-  return std::make_shared<const summary::ResourceSummary>(std::move(local));
+  if (!local) return store_summary_;
+  return std::make_shared<const summary::ResourceSummary>(std::move(*local));
 }
 
 SummaryPtr RoadsServer::compute_branch_summary() const {

@@ -126,7 +126,10 @@ class RoadsServer : public QueryTarget {
   }
 
   /// Total bytes of summary state held (children + replicas + own) —
-  /// Table I's per-server storage metric.
+  /// Table I's per-server storage metric. The local and branch
+  /// summaries count once each even when they are one shared object:
+  /// the metric models the paper's per-server storage, not this
+  /// process's heap.
   std::uint64_t stored_summary_bytes() const;
 
   // --- Join protocol (server side) ------------------------------------------
@@ -173,6 +176,9 @@ class RoadsServer : public QueryTarget {
   void push_stats_up();
 
   void refresh_attachment_summaries(bool keepalive);
+  /// store_summary_ (rebuilt first if the store's version moved) merged
+  /// with every summary-only attachment; store_summary_ itself when
+  /// none merges in.
   SummaryPtr compute_local_summary();
   /// local_summary_ merged with every child's branch summary; the
   /// local summary object itself when none merges in.
@@ -295,8 +301,11 @@ class RoadsServer : public QueryTarget {
   SummaryPtr branch_summary_;
   overlay::ReplicaStore replicas_;
   /// Summary of store_ alone (no attachment merges) and the store
-  /// version it was built at; rebuilt when the version moves.
-  summary::ResourceSummary store_summary_;
+  /// version it was built at; rebuilt whole when the version moves and
+  /// never edited, so it is shared: without a summary-only attachment
+  /// it *is* local_summary_, and an untouched store republishes the
+  /// same object with its memoized digest.
+  SummaryPtr store_summary_;
   std::uint64_t store_summary_version_ = 0;
   /// Refresh rounds completed; round r is a keepalive wave when
   /// r % summary_keepalive_rounds == 0 (so the first round always is).

@@ -98,7 +98,7 @@ void Histogram::hash_into(util::Fnv1a& h) const {
   h.add(domain_min_);
   h.add(domain_max_);
   h.add(static_cast<std::uint64_t>(counts_.size()));
-  for (const auto c : counts_) h.add(static_cast<std::uint64_t>(c));
+  h.add_lanes(counts_);
 }
 
 }  // namespace roads::summary

@@ -62,7 +62,8 @@ class MultiResHistogram {
   /// flat 6 bytes here).
   std::uint64_t wire_size() const;
 
-  /// Folds the full content (geometry + counters) into a digest.
+  /// Folds the full content (geometry, then the counters through
+  /// Fnv1a::add_lanes) into a digest.
   void hash_into(util::Fnv1a& h) const;
 
   /// Halves the resolution once (exposed for tests; merge() calls it

@@ -544,7 +544,7 @@ RecoveryObservation run_recovery_scenario(std::uint64_t seed) {
   topts.audit_query_dimensions = 2;  // the chaos schema has 2 attributes
   topts.audit_seed = seed ^ 0x0b5e;
   auto timeline = exp::attach_timeline(fed, topts);
-  timeline->start(fed.simulator());
+  exp::start_timeline(fed, *timeline);
   fed.stabilize();
 
   const auto topo = fed.topology();
@@ -644,10 +644,11 @@ TEST(Chaos, TelemetryQueueDepthProbeCountsShardEngines) {
   topts.timeline.window = sim::seconds(5);
   topts.audit_query_dimensions = 2;  // the chaos schema has 2 attributes
   auto timeline = exp::attach_timeline(fed, topts);
-  // Started on the coordinator alone, the sampler would go inert after
-  // one window: it re-arms only while events are pending, and the
-  // coordinator heap holds nothing but the sampler's own tick.
-  timeline->start(*fed.sharded());
+  // start_timeline picks the sharded engine. Started on the coordinator
+  // alone, the sampler would close one window and go inert: it re-arms
+  // only while events are pending, and the coordinator heap holds
+  // nothing but the sampler's own tick.
+  exp::start_timeline(fed, *timeline);
   fed.stabilize();
 
   // Stabilization spans at least two refresh periods plus 5 s.

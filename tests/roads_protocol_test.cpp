@@ -447,7 +447,8 @@ TEST(Protocol, SingleChangeRepropagatesExactlyTheBranchPath) {
 }
 
 // A refresh rebuilds the store summary from the columns exactly when
-// the store's version moved since the last build.
+// the store's version moved since the last build, and the store
+// summary is shared as the local summary, never merged into.
 TEST(Protocol, StoreSummaryRebuiltExactlyWhenTheStoreVersionMoved) {
   const auto params = proto_params();
   Federation fed(params);
@@ -463,20 +464,43 @@ TEST(Protocol, StoreSummaryRebuiltExactlyWhenTheStoreVersionMoved) {
   server.refresh_summaries();  // the first refresh builds
   EXPECT_EQ(rebuilds.value(), 1u);
   EXPECT_EQ(skipped.value(), 0u);
+  const auto built = server.local_summary();
+  ASSERT_NE(built, nullptr);
   server.refresh_summaries();  // an untouched store does not
   EXPECT_EQ(rebuilds.value(), 1u);
   EXPECT_EQ(skipped.value(), 1u);
+  // With no summary-only attachment the store summary is the local
+  // summary: the same object, memoized digest and all.
+  EXPECT_EQ(server.local_summary(), built);
 
   // An out-of-band rewrite, as the staleness attacks make.
   server.local_store().update(rec(3, 0.95));
   server.refresh_summaries();
   EXPECT_EQ(rebuilds.value(), 2u);
   EXPECT_EQ(skipped.value(), 1u);
+  EXPECT_NE(server.local_summary(), built);
   const auto& store = server.local_store();
   const auto expected = summary::ResourceSummary::of_records(
       store.schema(), params.config.summary, store.snapshot());
   ASSERT_NE(server.local_summary(), nullptr);
   EXPECT_EQ(server.local_summary()->digest(), expected.digest());
+
+  // A summary-only attachment merges into a copy of the store summary:
+  // refreshes over the untouched store must not fold it in again.
+  auto owner = fed.add_owner(0, ExportMode::kSummaryOnly);
+  owner->store().insert(rec(11, 0.35));
+  owner->store().insert(rec(12, 0.75));
+  server.attach_owner(owner, ExportMode::kSummaryOnly);
+  auto merged = expected;
+  merged.merge(owner->export_summary(params.config.summary));
+  for (int round = 0; round < 3; ++round) {
+    server.refresh_summaries();
+    EXPECT_EQ(server.local_summary()->record_count(), 5u + 2u)
+        << "round " << round;
+    EXPECT_EQ(server.local_summary()->digest(), merged.digest())
+        << "round " << round;
+  }
+  EXPECT_EQ(rebuilds.value(), 2u);
 }
 
 TEST(Protocol, SuppressionKeepsReplicasAliveUnderMaintenance) {

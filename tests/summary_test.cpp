@@ -9,6 +9,7 @@
 #include <latch>
 #include <limits>
 #include <memory>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 #include "summary/histogram.h"
 #include "summary/resource_summary.h"
 #include "summary/value_set.h"
+#include "util/hash.h"
 #include "util/rng.h"
 
 namespace roads::summary {
@@ -147,6 +149,67 @@ TEST(Histogram, WireSizeIndependentOfContent) {
 TEST(Histogram, RejectsBadConstruction) {
   EXPECT_THROW(Histogram(0, 0.0, 1.0), std::invalid_argument);
   EXPECT_THROW(Histogram(10, 1.0, 1.0), std::invalid_argument);
+}
+
+// --- Histogram digest ---
+//
+// hash_into folds the counters through eight independent FNV lanes and
+// a tail for the last bucket_count % 8 counters. Every counter, in
+// every lane and in the tail, must reach the digest. The digest here
+// is the histogram's own fold: ResourceSummary::digest also folds the
+// record count, which would hide a dropped counter.
+
+std::uint64_t histogram_digest(const Histogram& h) {
+  util::Fnv1a fnv;
+  h.hash_into(fnv);
+  return fnv.value();
+}
+
+TEST(Histogram, DigestSeesEveryCounter) {
+  // Every tail length 0-7, below one lane round, at one and at many.
+  const std::size_t kBuckets[] = {1,  2,  3,  7,  8,    9,    15,  16,
+                                  17, 63, 64, 65, 1000, 1001, 1023};
+  for (const std::size_t buckets : kBuckets) {
+    SCOPED_TRACE(std::to_string(buckets) + " buckets");
+    // Unit-width buckets: bucket b holds b + 0.5.
+    const Histogram empty(buckets, 0.0, static_cast<double>(buckets));
+    const auto centre = [](std::size_t b) {
+      return static_cast<double>(b) + 0.5;
+    };
+
+    // One value in one bucket digests unlike the empty histogram and
+    // unlike one value in any other bucket.
+    std::set<std::uint64_t> seen = {histogram_digest(empty)};
+    for (std::size_t b = 0; b < buckets; ++b) {
+      Histogram one = empty;
+      one.add(centre(b));
+      ASSERT_EQ(one.bucket(b), 1u);
+      EXPECT_TRUE(seen.insert(histogram_digest(one)).second) << "bucket " << b;
+    }
+
+    // Moving one count out of every bucket in turn, into the next
+    // bucket (the next lane) and into the one 8 on (the same lane, one
+    // step later), changes the digest of a histogram holding one value
+    // per bucket.
+    if (buckets == 1) continue;
+    Histogram full = empty;
+    for (std::size_t b = 0; b < buckets; ++b) full.add(centre(b));
+    const auto full_digest = histogram_digest(full);
+    for (std::size_t from = 0; from < buckets; ++from) {
+      for (const std::size_t hop : {std::size_t{1}, std::size_t{8}}) {
+        const std::size_t to = (from + hop) % buckets;
+        if (to == from) continue;
+        Histogram moved = empty;
+        for (std::size_t b = 0; b < buckets; ++b) {
+          if (b != from) moved.add(centre(b));
+        }
+        moved.add(centre(to));
+        ASSERT_EQ(moved.total(), full.total());
+        EXPECT_NE(histogram_digest(moved), full_digest)
+            << "one count moved from bucket " << from << " to " << to;
+      }
+    }
+  }
 }
 
 // --- Histogram occupancy word ---
