@@ -1,13 +1,17 @@
 // Microbenchmarks (google-benchmark) of the hot substrate operations:
 // histogram updates and merges, summary construction, Bloom filter
-// probes, record-store queries, and the discrete-event core. These
-// bound the simulator's own cost so the figure benches' wall time is
-// explainable.
+// probes, record-store queries, the discrete-event core, and the two
+// trace kernels a traced query pays for (ring appends, and its span
+// tree plus critical path). These bound the simulator's own cost so the
+// figure benches' wall time is explainable.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
+#include "obs/span_tree.h"
+#include "obs/trace.h"
 #include "record/query.h"
 #include "sim/delay_space.h"
 #include "sim/simulator.h"
@@ -246,6 +250,107 @@ void BM_RngUniform(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RngUniform);
+
+// One append into a full ring of the Federation's default capacity:
+// what every traced send, delivery, marker and span boundary costs once
+// the ring has wrapped.
+void BM_TraceRecordFullRing(benchmark::State& state) {
+  obs::TraceBuffer ring(8192);
+  obs::TraceEvent ev;
+  ev.kind = obs::TraceKind::kSend;
+  ev.label = "query";
+  while (ring.size() < ring.capacity()) ring.record(ev);
+  for (auto _ : state) {
+    ++ev.at_us;
+    ring.record(ev);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(ring.recorded());
+}
+BENCHMARK(BM_TraceRecordFullRing);
+
+/// One query's events, shaped like a ROADS query's slice of the ring:
+/// the client's root span, then 57 hops in waves of a binary fan-out.
+/// A hop is the query transit (send, deliver), a hop marker, the
+/// server's `proc` span with a redirect marker inside it, and the reply
+/// transit to the client, under whose delivery the next wave is sent.
+/// Span ids ascend in recording order, as the ring allocates them.
+std::vector<obs::TraceEvent> query_slice() {
+  constexpr std::size_t kHops = 57;
+  std::vector<obs::TraceEvent> out;
+  const std::uint64_t root = 1;
+  std::uint64_t next_id = root + 1;
+  const auto add = [&out](std::int64_t at, obs::TraceKind kind,
+                          std::uint64_t span, std::uint64_t parent,
+                          std::uint32_t node, std::uint32_t peer,
+                          const char* label) {
+    obs::TraceEvent ev;
+    ev.at_us = at;
+    ev.kind = kind;
+    ev.span = span;
+    ev.trace = root;
+    ev.parent = parent;
+    ev.node = node;
+    ev.peer = peer;
+    ev.label = label;
+    out.push_back(ev);
+  };
+  using K = obs::TraceKind;
+  std::vector<std::uint64_t> query(kHops), proc(kHops), reply(kHops);
+  add(0, K::kQueryStart, root, 0, 0, 0, "");
+  std::int64_t t = 0;
+  for (std::size_t lo = 0; lo < kHops; lo = 2 * lo + 1, t += 100) {
+    const std::size_t hi = std::min(kHops, 2 * lo + 1);
+    for (std::size_t h = lo; h < hi; ++h) {
+      const auto server = static_cast<std::uint32_t>(h + 1);
+      query[h] = next_id++;
+      add(t, K::kSend, query[h], h == 0 ? root : reply[(h - 1) / 2], 0,
+          server, "query");
+    }
+    for (std::size_t h = lo; h < hi; ++h) {
+      const auto server = static_cast<std::uint32_t>(h + 1);
+      add(t + 40, K::kDeliver, query[h], 0, 0, server, "query");
+      add(t + 40, K::kQueryHop, query[h], 0, server, 0, "");
+    }
+    for (std::size_t h = lo; h < hi; ++h) {
+      const auto server = static_cast<std::uint32_t>(h + 1);
+      proc[h] = next_id++;
+      add(t + 45, K::kSpanBegin, proc[h], query[h], server, server, "proc");
+      add(t + 50, K::kQueryRedirect, proc[h], 0, server, 0, "");
+    }
+    for (std::size_t h = lo; h < hi; ++h) {
+      const auto server = static_cast<std::uint32_t>(h + 1);
+      reply[h] = next_id++;
+      add(t + 60, K::kSend, reply[h], proc[h], server, 0, "result");
+      add(t + 60, K::kSpanEnd, proc[h], 0, 0, 0, "");
+    }
+    for (std::size_t h = lo; h < hi; ++h) {
+      add(t + 100, K::kDeliver, reply[h], 0, static_cast<std::uint32_t>(h + 1),
+          0, "result");
+    }
+  }
+  add(t, K::kQueryComplete, root, 0, 0, 0, "");
+  return out;
+}
+
+// What run_query pays per traced query after reading its slice: the
+// query's span tree and its forwarding critical path.
+void BM_QuerySpanTreeAndCriticalPath(benchmark::State& state) {
+  const auto slice = query_slice();
+  const std::uint64_t root = slice.front().span;
+  for (auto _ : state) {
+    const auto tree = obs::SpanTree::build(slice);
+    const auto path = obs::query_critical_path(
+        tree, root, obs::QueryEndpoint::kForwarding);
+    if (!path.complete) {
+      state.SkipWithError("critical path incomplete");
+      break;
+    }
+    benchmark::DoNotOptimize(path.total_us);
+  }
+  state.SetLabel(std::to_string(slice.size()) + " events");
+}
+BENCHMARK(BM_QuerySpanTreeAndCriticalPath)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -12,7 +12,7 @@
 
 namespace roads::obs {
 
-std::string json_escape(const std::string& s) {
+std::string json_escape(std::string_view s) {
   std::string out;
   out.reserve(s.size());
   for (const char c : s) {
@@ -88,11 +88,11 @@ struct ChromeEvent {
 std::string chrome_span_name(const Span& s) {
   switch (s.category) {
     case SpanCategory::kNetwork:
-      return "net:" + s.label;
+      return std::string("net:").append(s.label);
     case SpanCategory::kRoot:
-      return s.label.empty() ? "root" : s.label;
+      return std::string(s.label.empty() ? "root" : s.label);
     default:
-      return s.label.empty() ? to_string(s.category) : s.label;
+      return std::string(s.label.empty() ? to_string(s.category) : s.label);
   }
 }
 
@@ -101,7 +101,7 @@ void emit_chrome_events(const SpanTree& tree, std::ostream& os) {
   // track per node (tid = node + 1, so node 0 is not confused with the
   // unset tid 0).
   std::set<std::uint32_t> nodes;
-  for (const auto& [id, s] : tree.spans()) {
+  for (const auto& s : tree.spans()) {
     if (s.start_us >= 0) nodes.insert(s.node);
   }
   for (const auto& m : tree.markers()) nodes.insert(m.node);
@@ -124,7 +124,7 @@ void emit_chrome_events(const SpanTree& tree, std::ostream& os) {
 
   std::vector<ChromeEvent> events;
   std::uint64_t seq = 0;
-  for (const auto& [id, s] : tree.spans()) {
+  for (const auto& s : tree.spans()) {
     if (s.start_us < 0) continue;  // begin event evicted; can't place it
     const std::int64_t dur = s.closed() ? s.end_us - s.start_us : 0;
     std::string json = "{\"ph\":\"X\",\"pid\":1,\"tid\":" +

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 
 #include "obs/metrics.h"
 #include "obs/span_tree.h"
@@ -18,7 +19,7 @@
 namespace roads::obs {
 
 /// Escapes a string for inclusion inside JSON double quotes.
-std::string json_escape(const std::string& s);
+std::string json_escape(std::string_view s);
 
 /// Formats a double as a JSON number: integers lose the trailing ".0",
 /// non-finite values become null (JSON has no inf/nan).

@@ -249,8 +249,8 @@ void build_category_stacks(const Profile& profile, SpeedscopeBuilder& b) {
 }
 
 std::string span_frame(const Span& span) {
-  std::string name = span.label.empty() ? to_string(span.category)
-                                        : span.label;
+  std::string name(span.label.empty() ? to_string(span.category)
+                                       : span.label);
   if (span.category == SpanCategory::kNetwork) name = "transit:" + name;
   return name;
 }
@@ -266,7 +266,7 @@ double span_self_us(const SpanTree& tree, const Span& span) {
 }
 
 void build_span_stacks(const SpanTree& tree, SpeedscopeBuilder& b) {
-  for (const auto& [id, span] : tree.spans()) {
+  for (const auto& span : tree.spans()) {
     if (!span.closed()) continue;
     const double self = span_self_us(tree, span);
     if (self <= 0.0) continue;

@@ -1,26 +1,17 @@
 #include "obs/span_tree.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 namespace roads::obs {
 
 namespace {
 
-SpanCategory category_for_label(const std::string& label,
+SpanCategory category_for_label(std::string_view label,
                                 std::uint64_t parent) {
   if (parent == 0) return SpanCategory::kRoot;
   if (label == "proc") return SpanCategory::kProcessing;
   if (label == "service") return SpanCategory::kService;
   return SpanCategory::kOther;
-}
-
-/// Fetches the span, creating a placeholder when its begin event was
-/// evicted from the buffer.
-Span& slot(std::map<std::uint64_t, Span>& spans, std::uint64_t id) {
-  auto [it, inserted] = spans.try_emplace(id);
-  if (inserted) it->second.id = id;
-  return it->second;
 }
 
 void fill_links(Span& s, const TraceEvent& ev) {
@@ -48,11 +39,37 @@ const char* to_string(SpanCategory category) {
 
 SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
   SpanTree tree;
+  auto& spans = tree.spans_;
+  // Every span is first seen in some event and every marker is one
+  // event, so these reserves are never outgrown and a span never moves
+  // while it is being filled.
+  spans.reserve(events.size());
+  tree.markers_.reserve(events.size());
+  // Build-time id -> index table: open addressing with linear probing,
+  // a power of two at least twice the event count, so at most half full.
+  constexpr std::uint32_t kEmpty = ~std::uint32_t{0};
+  std::size_t mask = 7;
+  while (mask < 2 * events.size()) mask = 2 * mask + 1;
+  std::vector<std::uint32_t> table(mask + 1, kEmpty);
+  bool ascending = true;
+  // Fetches the span, appending a placeholder when it is first seen
+  // (its begin event may have been evicted from the buffer).
+  const auto slot = [&](std::uint64_t id) -> Span& {
+    std::size_t i = (id * 0x9e3779b97f4a7c15ull >> 32) & mask;
+    for (; table[i] != kEmpty; i = (i + 1) & mask) {
+      if (spans[table[i]].id == id) return spans[table[i]];
+    }
+    table[i] = static_cast<std::uint32_t>(spans.size());
+    ascending = ascending && (spans.empty() || spans.back().id < id);
+    Span& s = spans.emplace_back();
+    s.id = id;
+    return s;
+  };
   for (const auto& ev : events) {
     if (ev.span == 0) continue;  // untraced legacy stream
     switch (ev.kind) {
       case TraceKind::kSend: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (s.start_us < 0) s.start_us = ev.at_us;
         s.node = ev.node;
         s.peer = ev.peer;
@@ -63,7 +80,7 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceKind::kDeliver: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (!s.closed()) s.end_us = ev.at_us;  // keep first delivery
         if (s.category == SpanCategory::kOther) {
           s.category = SpanCategory::kNetwork;
@@ -76,7 +93,7 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceKind::kDrop: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (!s.closed()) {
           s.end_us = ev.at_us;
           s.dropped = true;
@@ -85,7 +102,7 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceKind::kSpanBegin: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (s.start_us < 0) s.start_us = ev.at_us;
         s.node = ev.node;
         s.label = ev.label;
@@ -94,13 +111,13 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceKind::kSpanEnd: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (!s.closed()) s.end_us = ev.at_us;
         fill_links(s, ev);
         break;
       }
       case TraceKind::kQueryStart: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (s.start_us < 0) s.start_us = ev.at_us;
         s.node = ev.node;
         s.trace = ev.span;  // the query root names its own tree
@@ -109,7 +126,7 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceKind::kQueryComplete: {
-        auto& s = slot(tree.spans_, ev.span);
+        auto& s = slot(ev.span);
         if (!s.closed()) s.end_us = ev.at_us;
         s.trace = ev.span;
         s.category = SpanCategory::kRoot;
@@ -119,7 +136,7 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;
       }
       case TraceKind::kQueryFalsePositive: {
-        slot(tree.spans_, ev.span).false_positive = true;
+        slot(ev.span).false_positive = true;
         tree.markers_.push_back(
             {ev.kind, ev.at_us, ev.span, ev.trace, ev.node, ev.value});
         break;
@@ -134,18 +151,24 @@ SpanTree SpanTree::build(const std::vector<TraceEvent>& events) {
         break;  // maintenance transitions carry no span semantics
     }
   }
+  if (!ascending) {
+    std::sort(spans.begin(), spans.end(),
+              [](const Span& a, const Span& b) { return a.id < b.id; });
+  }
   return tree;
 }
 
 const Span* SpanTree::find(std::uint64_t id) const {
-  auto it = spans_.find(id);
-  return it == spans_.end() ? nullptr : &it->second;
+  const auto it = std::lower_bound(
+      spans_.begin(), spans_.end(), id,
+      [](const Span& s, std::uint64_t want) { return s.id < want; });
+  return it != spans_.end() && it->id == id ? &*it : nullptr;
 }
 
 std::vector<std::uint64_t> SpanTree::traces() const {
   std::vector<std::uint64_t> out;
-  for (const auto& [id, s] : spans_) {
-    if (s.parent == 0 && s.trace == id) out.push_back(id);
+  for (const auto& s : spans_) {
+    if (s.parent == 0 && s.trace == s.id) out.push_back(s.id);
   }
   return out;
 }
@@ -161,7 +184,7 @@ void sort_by_start(std::vector<const Span*>& spans) {
 
 std::vector<const Span*> SpanTree::trace_spans(std::uint64_t trace) const {
   std::vector<const Span*> out;
-  for (const auto& [id, s] : spans_) {
+  for (const auto& s : spans_) {
     if (s.trace == trace) out.push_back(&s);
   }
   sort_by_start(out);
@@ -170,7 +193,7 @@ std::vector<const Span*> SpanTree::trace_spans(std::uint64_t trace) const {
 
 std::vector<const Span*> SpanTree::children(std::uint64_t id) const {
   std::vector<const Span*> out;
-  for (const auto& [sid, s] : spans_) {
+  for (const auto& s : spans_) {
     if (s.parent == id) out.push_back(&s);
   }
   sort_by_start(out);
@@ -179,11 +202,9 @@ std::vector<const Span*> SpanTree::children(std::uint64_t id) const {
 
 std::vector<const Span*> SpanTree::orphans(std::uint64_t trace) const {
   std::vector<const Span*> out;
-  for (const auto& [id, s] : spans_) {
+  for (const auto& s : spans_) {
     if (trace != 0 && s.trace != trace) continue;
-    if (s.parent != 0 && spans_.find(s.parent) == spans_.end()) {
-      out.push_back(&s);
-    }
+    if (s.parent != 0 && find(s.parent) == nullptr) out.push_back(&s);
   }
   sort_by_start(out);
   return out;
@@ -191,19 +212,11 @@ std::vector<const Span*> SpanTree::orphans(std::uint64_t trace) const {
 
 std::vector<const Span*> SpanTree::unclosed(std::uint64_t trace) const {
   std::vector<const Span*> out;
-  for (const auto& [id, s] : spans_) {
+  for (const auto& s : spans_) {
     if (trace != 0 && s.trace != trace) continue;
     if (!s.closed()) out.push_back(&s);
   }
   sort_by_start(out);
-  return out;
-}
-
-std::vector<SpanMarker> SpanTree::trace_markers(std::uint64_t trace) const {
-  std::vector<SpanMarker> out;
-  for (const auto& m : markers_) {
-    if (m.trace == trace) out.push_back(m);
-  }
   return out;
 }
 
@@ -217,9 +230,8 @@ CriticalPath query_critical_path(const SpanTree& tree, std::uint64_t trace,
                           ? TraceKind::kQueryResult
                           : TraceKind::kQueryHop;
   const SpanMarker* terminal = nullptr;
-  const auto markers = tree.trace_markers(trace);
-  for (const auto& m : markers) {
-    if (m.kind != wanted) continue;
+  for (const auto& m : tree.markers()) {
+    if (m.trace != trace || m.kind != wanted) continue;
     if (terminal == nullptr || m.at_us > terminal->at_us) terminal = &m;
   }
   if (terminal == nullptr) return cp;
@@ -228,9 +240,12 @@ CriticalPath query_critical_path(const SpanTree& tree, std::uint64_t trace,
 
   // Chain from the terminal's span up to the root.
   std::vector<const Span*> chain;
-  std::unordered_set<std::uint64_t> visited;
+  std::vector<std::uint64_t> visited;  // sorted; stops a parent cycle
   std::uint64_t cur = terminal->span;
-  while (cur != 0 && visited.insert(cur).second) {
+  while (cur != 0) {
+    const auto seen = std::lower_bound(visited.begin(), visited.end(), cur);
+    if (seen != visited.end() && *seen == cur) break;
+    visited.insert(seen, cur);
     const Span* s = tree.find(cur);
     if (s == nullptr || s->start_us < 0) return cp;  // history evicted
     chain.push_back(s);
@@ -243,10 +258,11 @@ CriticalPath query_critical_path(const SpanTree& tree, std::uint64_t trace,
   // A network span is a false-positive detour when the handler span it
   // fed (its child on the chain side) flagged a summary false positive
   // — or when the flag landed on the transit span itself.
-  std::unordered_set<std::uint64_t> detour_feeders;
-  for (const auto& [id, s] : tree.spans()) {
-    if (s.false_positive && s.parent != 0) detour_feeders.insert(s.parent);
+  std::vector<std::uint64_t> detour_feeders;  // sorted
+  for (const auto& s : tree.spans()) {
+    if (s.false_positive && s.parent != 0) detour_feeders.push_back(s.parent);
   }
+  std::sort(detour_feeders.begin(), detour_feeders.end());
 
   // Partition [root start, terminal] walking chain boundaries: the
   // region a span covers is attributed to its category, any region
@@ -268,7 +284,9 @@ CriticalPath query_critical_path(const SpanTree& tree, std::uint64_t trace,
     const std::int64_t covered = end - begin;
     if (s->category == SpanCategory::kNetwork) {
       ++cp.hops;
-      const bool detour = s->false_positive || detour_feeders.count(s->id) > 0;
+      const bool detour =
+          s->false_positive || std::binary_search(detour_feeders.begin(),
+                                                  detour_feeders.end(), s->id);
       (detour ? cp.detour_us : cp.network_us) += covered;
     } else {
       cp.processing_us += covered;

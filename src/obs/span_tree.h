@@ -8,6 +8,13 @@
 // TraceContext each event was recorded under, so SpanTree::build turns
 // the mixed event stream back into one tree per root cause.
 //
+// The tree is flat: one vector of spans in ascending id order, found by
+// binary search. A span id is allocated when the span's first event is
+// recorded, so a buffer's spans are first seen in id order and build()
+// appends them as they come; only a stream whose oldest history was
+// evicted (a placeholder first seen after younger spans) needs a sort.
+// A span's label is a view of its event's static label.
+//
 // query_critical_path() walks the chain of spans from a query's
 // terminal event back to its root and attributes every microsecond of
 // [root start, terminal] to exactly one phase — network transit,
@@ -19,8 +26,7 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <string_view>
 #include <vector>
 
 #include "obs/trace.h"
@@ -47,7 +53,7 @@ struct Span {
   std::uint32_t peer = 0;      // receiver for network spans
   std::uint64_t bytes = 0;
   SpanCategory category = SpanCategory::kOther;
-  std::string label;  // channel name or span taxonomy label
+  std::string_view label;  // channel name or span taxonomy label
   bool dropped = false;          // closed by a kDrop
   bool false_positive = false;   // a kQueryFalsePositive fired inside it
 
@@ -75,7 +81,8 @@ class SpanTree {
   static SpanTree build(const std::vector<TraceEvent>& events);
 
   const Span* find(std::uint64_t id) const;
-  const std::map<std::uint64_t, Span>& spans() const { return spans_; }
+  /// Every span, ascending by id.
+  const std::vector<Span>& spans() const { return spans_; }
 
   /// Root span ids, ascending (one per causal tree seen).
   std::vector<std::uint64_t> traces() const;
@@ -91,10 +98,9 @@ class SpanTree {
   std::vector<const Span*> unclosed(std::uint64_t trace = 0) const;
 
   const std::vector<SpanMarker>& markers() const { return markers_; }
-  std::vector<SpanMarker> trace_markers(std::uint64_t trace) const;
 
  private:
-  std::map<std::uint64_t, Span> spans_;
+  std::vector<Span> spans_;  // ascending id
   std::vector<SpanMarker> markers_;
 };
 

@@ -1,8 +1,8 @@
 #include "obs/trace.h"
 
 #include <algorithm>
-#include <iterator>
 #include <stdexcept>
+#include <string>
 
 #include "obs/metrics.h"
 
@@ -52,26 +52,11 @@ TraceBuffer::TraceBuffer(std::size_t capacity) : capacity_(capacity) {
   if (capacity == 0) {
     throw std::invalid_argument("TraceBuffer: capacity must be positive");
   }
-}
-
-std::size_t TraceBuffer::size() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return ring_.size();
-}
-
-std::uint64_t TraceBuffer::dropped() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_;
-}
-
-std::uint64_t TraceBuffer::dropped(TraceKind kind) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return dropped_kind_[static_cast<std::size_t>(kind)];
+  ring_.reserve(capacity);
 }
 
 std::vector<std::pair<TraceKind, std::uint64_t>> TraceBuffer::dropped_by_kind()
     const {
-  std::lock_guard<std::mutex> lock(mutex_);
   std::vector<std::pair<TraceKind, std::uint64_t>> out;
   for (std::size_t k = 0; k < kTraceKindCount; ++k) {
     if (dropped_kind_[k] != 0) {
@@ -82,7 +67,6 @@ std::vector<std::pair<TraceKind, std::uint64_t>> TraceBuffer::dropped_by_kind()
 }
 
 void TraceBuffer::bind_metrics(MetricsRegistry& registry) {
-  std::lock_guard<std::mutex> lock(mutex_);
   for (std::size_t k = 0; k < kTraceKindCount; ++k) {
     auto& counter = registry.counter(
         std::string("obs.trace.dropped.") +
@@ -95,73 +79,66 @@ void TraceBuffer::bind_metrics(MetricsRegistry& registry) {
   }
 }
 
-void TraceBuffer::record(TraceEvent event) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (ring_.size() == capacity_) {
-    const auto k = static_cast<std::size_t>(ring_.front().kind);
-    ring_.pop_front();
-    ++dropped_;
-    ++dropped_kind_[k];
-    if (drop_counters_[k] != nullptr) drop_counters_[k]->inc();
-  }
-  ring_.push_back(std::move(event));
+void TraceBuffer::record(const TraceEvent& event) {
   ++recorded_;
+  if (ring_.size() < capacity_) {
+    ring_.push_back(event);  // within the reserve: no reallocation
+    return;
+  }
+  TraceEvent& oldest = ring_[head_];
+  const auto k = static_cast<std::size_t>(oldest.kind);
+  ++dropped_;
+  ++dropped_kind_[k];
+  if (drop_counters_[k] != nullptr) drop_counters_[k]->inc();
+  oldest = event;
+  head_ = head_ + 1 == capacity_ ? 0 : head_ + 1;
 }
 
-std::uint64_t TraceBuffer::recorded() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return recorded_;
-}
+std::uint64_t TraceBuffer::next_span() { return ++next_span_; }
 
-std::uint64_t TraceBuffer::next_span() {
-  return next_span_.fetch_add(1, std::memory_order_relaxed) + 1;
+template <typename Keep>
+std::vector<TraceEvent> TraceBuffer::select(std::size_t skip,
+                                            Keep keep) const {
+  // The oldest event sits at head_ (0 until the ring first fills), so
+  // the buffered events are [head_, size) followed by [0, head_).
+  const std::size_t n = ring_.size();
+  const auto at = [this, n](std::size_t i) -> const TraceEvent& {
+    return ring_[head_ + i < n ? head_ + i : head_ + i - n];
+  };
+  std::vector<TraceEvent> out;
+  out.reserve(n - skip);
+  for (std::size_t i = skip; i < n; ++i) {
+    if (keep(at(i))) out.push_back(at(i));
+  }
+  return out;
 }
 
 std::vector<TraceEvent> TraceBuffer::events() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return {ring_.begin(), ring_.end()};
+  return select(0, [](const TraceEvent&) { return true; });
 }
 
 std::vector<TraceEvent> TraceBuffer::span_events(std::uint64_t span) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> out;
-  for (const auto& ev : ring_) {
-    if (ev.span == span) out.push_back(ev);
-  }
-  return out;
+  return select(0, [span](const TraceEvent& ev) { return ev.span == span; });
 }
 
 std::vector<TraceEvent> TraceBuffer::trace_events(std::uint64_t trace,
                                                   std::uint64_t since) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  // ring_[i] was recorded at position oldest + i.
+  // The i-th oldest buffered event was recorded at position oldest + i.
   const std::uint64_t oldest = recorded_ - ring_.size();
-  const std::uint64_t skip =
+  const auto skip = static_cast<std::size_t>(
       since > oldest ? std::min<std::uint64_t>(since - oldest, ring_.size())
-                     : 0;
-  const auto begin = ring_.begin() + static_cast<std::ptrdiff_t>(skip);
-  const auto in_trace = [trace](const TraceEvent& ev) {
-    return ev.trace == trace;
-  };
-  std::vector<TraceEvent> out;
-  out.reserve(static_cast<std::size_t>(
-      std::count_if(begin, ring_.end(), in_trace)));
-  std::copy_if(begin, ring_.end(), std::back_inserter(out), in_trace);
-  return out;
+                     : 0);
+  return select(skip,
+                [trace](const TraceEvent& ev) { return ev.trace == trace; });
 }
 
 std::vector<TraceEvent> TraceBuffer::events_of(TraceKind kind) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  std::vector<TraceEvent> out;
-  for (const auto& ev : ring_) {
-    if (ev.kind == kind) out.push_back(ev);
-  }
-  return out;
+  return select(0, [kind](const TraceEvent& ev) { return ev.kind == kind; });
 }
 
 void TraceBuffer::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  ring_.clear();
+  ring_.clear();  // keeps the reserve
+  head_ = 0;
   dropped_ = 0;
   for (auto& d : dropped_kind_) d = 0;
 }

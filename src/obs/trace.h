@@ -8,6 +8,13 @@
 // events as they arrive, so a reader can mark a position and later read
 // only what was recorded after it (trace_events' `since`).
 //
+// One engine thread writes and reads a ring (the network refuses a
+// trace once the sharded coordinator is attached), so recording is a
+// plain store into a flat array: no lock, and no allocation after the
+// first. Events are trivially copyable; a label points at static
+// storage (a string literal or sim::to_string(Channel)), never at a
+// caller's string.
+//
 // Causal tracing: every event carries (trace, span, parent) so the
 // flat stream reconstructs into parent-child span trees (obs::SpanTree).
 // A TraceContext names the span currently executing. It rides the
@@ -20,11 +27,9 @@
 // out of the mixed stream with a single filter.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <deque>
-#include <mutex>
-#include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -118,21 +123,24 @@ struct TraceEvent {
   std::uint32_t peer = 0;   // counterpart (receiver, parent, target...)
   std::uint64_t bytes = 0;
   double value = 0.0;       // kind-specific scalar (latency ms, counts)
-  std::string label;        // channel name or short annotation
+  std::string_view label;   // channel name or short annotation (static)
   std::uint64_t trace = 0;  // root span id of the causal tree; 0 = none
   std::uint64_t parent = 0; // parent span id; 0 = root / not a span
 };
+static_assert(std::is_trivially_copyable_v<TraceEvent>);
 
 class TraceBuffer {
  public:
   explicit TraceBuffer(std::size_t capacity = 8192);
 
   std::size_t capacity() const { return capacity_; }
-  std::size_t size() const;
+  std::size_t size() const { return ring_.size(); }
   /// Events evicted so far to keep the buffer bounded (all kinds).
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return dropped_; }
   /// Events of one kind evicted so far.
-  std::uint64_t dropped(TraceKind kind) const;
+  std::uint64_t dropped(TraceKind kind) const {
+    return dropped_kind_[static_cast<std::size_t>(kind)];
+  }
   /// Per-kind eviction counts, only kinds with drops, kind-ordered.
   std::vector<std::pair<TraceKind, std::uint64_t>> dropped_by_kind() const;
 
@@ -142,12 +150,12 @@ class TraceBuffer {
   /// bumped as evictions happen; existing drops are credited on bind.
   void bind_metrics(MetricsRegistry& registry);
 
-  /// Appends an event, evicting the oldest when full. Thread-safe.
-  void record(TraceEvent event);
+  /// Appends an event, overwriting the oldest when full.
+  void record(const TraceEvent& event);
 
   /// Events recorded so far, evicted or not: the position the next
   /// event takes. Only grows; clear() does not reset it.
-  std::uint64_t recorded() const;
+  std::uint64_t recorded() const { return recorded_; }
 
   /// Allocates a fresh span id (1, 2, ...).
   std::uint64_t next_span();
@@ -168,14 +176,22 @@ class TraceBuffer {
   void clear();
 
  private:
+  /// Oldest-first copy of the buffered events `keep` accepts, from the
+  /// `skip`-th oldest on.
+  template <typename Keep>
+  std::vector<TraceEvent> select(std::size_t skip, Keep keep) const;
+
   const std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::deque<TraceEvent> ring_;
+  // Reserved to capacity_ up front and never reallocated: it grows by
+  // push_back until full, then ring_[head_] (the oldest event) is
+  // overwritten in place and head_ advances.
+  std::vector<TraceEvent> ring_;
+  std::size_t head_ = 0;
   std::uint64_t recorded_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint64_t dropped_kind_[kTraceKindCount] = {};
   class Counter* drop_counters_[kTraceKindCount] = {};
-  std::atomic<std::uint64_t> next_span_{0};
+  std::uint64_t next_span_ = 0;
 };
 
 }  // namespace roads::obs

@@ -41,7 +41,7 @@ void RoadsClient::trace_span(obs::TraceKind kind, sim::NodeId node,
                         kind == obs::TraceKind::kQueryComplete;
   ev.span = (!endpoint && ctx.trace == span_ && ctx.span != 0) ? ctx.span
                                                                : span_;
-  trace->record(std::move(ev));
+  trace->record(ev);
 }
 
 void RoadsClient::start(sim::NodeId start_server) {

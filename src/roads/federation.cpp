@@ -300,19 +300,26 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
         trace_->trace_events(out.trace_id, trace_mark));
     auto fwd = obs::query_critical_path(tree, out.trace_id,
                                         obs::QueryEndpoint::kForwarding);
+    auto& m = critpath_;
     if (fwd.complete) {
-      metrics_.histogram("roads.query.critpath.network_ms")
-          .record(fwd.network_us / 1000.0);
-      metrics_.histogram("roads.query.critpath.processing_ms")
-          .record(fwd.processing_us / 1000.0);
-      metrics_.histogram("roads.query.critpath.queueing_ms")
-          .record(fwd.queueing_us / 1000.0);
-      metrics_.histogram("roads.query.critpath.detour_ms")
-          .record(fwd.detour_us / 1000.0);
+      if (m.network == nullptr) {
+        m.network = &metrics_.histogram("roads.query.critpath.network_ms");
+        m.processing =
+            &metrics_.histogram("roads.query.critpath.processing_ms");
+        m.queueing = &metrics_.histogram("roads.query.critpath.queueing_ms");
+        m.detour = &metrics_.histogram("roads.query.critpath.detour_ms");
+      }
+      m.network->record(fwd.network_us / 1000.0);
+      m.processing->record(fwd.processing_us / 1000.0);
+      m.queueing->record(fwd.queueing_us / 1000.0);
+      m.detour->record(fwd.detour_us / 1000.0);
     } else {
       // Chain broken: history evicted from the bounded buffer (or the
       // query never left the start server).
-      metrics_.counter("roads.query.critpath.incomplete").inc();
+      if (m.incomplete == nullptr) {
+        m.incomplete = &metrics_.counter("roads.query.critpath.incomplete");
+      }
+      m.incomplete->inc();
     }
     out.forwarding_path = fwd;
     if (config_.collect_results) {

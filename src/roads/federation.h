@@ -241,6 +241,17 @@ class Federation : public Directory {
   std::size_t drive_steps(std::size_t limit);
   void drive_until(sim::Time deadline);
 
+  /// run_query's critical-path instruments, looked up once. Each group
+  /// is registered when first written, so a registry still lists only
+  /// the instruments a run recorded into.
+  struct CritpathMetrics {
+    obs::Histogram* network = nullptr;
+    obs::Histogram* processing = nullptr;
+    obs::Histogram* queueing = nullptr;
+    obs::Histogram* detour = nullptr;
+    obs::Counter* incomplete = nullptr;
+  };
+
   RoadsConfig config_;
   record::Schema schema_;
   util::Rng rng_;
@@ -251,6 +262,7 @@ class Federation : public Directory {
   sim::DelaySpace delay_space_;
   sim::Network network_;
   std::unique_ptr<sim::ShardedSimulator> sharded_;  // threads > 1 only
+  CritpathMetrics critpath_;
 
   std::vector<std::unique_ptr<RoadsServer>> servers_;  // index == NodeId
   std::vector<std::uint64_t> query_visits_;            // index == NodeId

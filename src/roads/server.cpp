@@ -88,7 +88,7 @@ void RoadsServer::trace_event(obs::TraceKind kind, sim::NodeId peer,
   // them, so e.g. a heartbeat-miss shows up inside the failure-check
   // wave that detected it.
   ev.trace = obs::current_trace_context().trace;
-  trace->record(std::move(ev));
+  trace->record(ev);
 }
 
 // --------------------------------------------------------------------------

@@ -197,7 +197,7 @@ TEST(ProfExport, SpeedscopeFromCategoryProfileIsValidJson) {
 
 obs::TraceEvent span_event(std::int64_t at_us, obs::TraceKind kind,
                            std::uint64_t span, std::uint64_t parent,
-                           const std::string& label = "") {
+                           const char* label = "") {
   obs::TraceEvent ev;
   ev.at_us = at_us;
   ev.kind = kind;

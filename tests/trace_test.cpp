@@ -6,14 +6,19 @@
 // a complete parent-before-child span tree.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <limits>
 #include <map>
 #include <memory>
 #include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "obs/export.h"
@@ -221,6 +226,123 @@ TEST(CriticalPath, IncompleteWithoutTerminalOrWithBrokenChain) {
           .complete);
 }
 
+// A whole ring whose eviction removed the oldest history of query A
+// (trace 1) while query B (trace 4) is still complete. Span ids are
+// allocated when a span's first event is recorded, as the network and
+// client do. The surviving deliver of transit 3 and the completion of
+// root 1 are first seen after younger spans, so the flat build must
+// fall back to sorting; transit 2 is gone, so A's proc span 6 is an
+// orphan, and A's proc span 7 at node 8 never closes.
+TEST(SpanTree, BuildAfterEvictionKeepsAscendingIds) {
+  using K = obs::TraceKind;
+  std::vector<obs::TraceEvent> stream;
+  const auto add = [&stream](std::int64_t at, K kind, std::uint64_t span,
+                             std::uint64_t trace, std::uint64_t parent,
+                             std::uint32_t node, std::uint32_t peer = 0,
+                             const char* label = "") {
+    auto ev = make_event(at, kind, span, trace, parent, node);
+    ev.peer = peer;
+    ev.label = label;
+    stream.push_back(ev);
+  };
+  // Evicted: A's start, both of its first transits' sends, and the
+  // first transit's delivery and hop.
+  add(0, K::kQueryStart, 1, 1, 0, 0);
+  add(0, K::kSend, 2, 1, 1, 0, 4, "query");
+  add(0, K::kSend, 3, 1, 1, 0, 8, "query");
+  add(40, K::kDeliver, 2, 1, 0, 0, 4, "query");
+  add(40, K::kQueryHop, 2, 1, 0, 4);
+  // Buffered.
+  add(50, K::kQueryStart, 4, 4, 0, 1);
+  add(50, K::kSend, 5, 4, 4, 1, 5, "query");
+  add(60, K::kSpanBegin, 6, 1, 2, 4, 4, "proc");
+  add(70, K::kDeliver, 3, 1, 0, 0, 8, "query");
+  add(70, K::kQueryHop, 3, 1, 0, 8);
+  add(75, K::kSpanBegin, 7, 1, 3, 8, 8, "proc");
+  add(80, K::kSpanEnd, 6, 1, 0, 0);
+  add(90, K::kDeliver, 5, 4, 0, 1, 5, "query");
+  add(90, K::kQueryHop, 5, 4, 0, 5);
+  add(110, K::kSpanBegin, 8, 4, 5, 5, 5, "proc");
+  add(150, K::kSend, 9, 4, 8, 5, 7, "query");
+  add(150, K::kSpanEnd, 8, 4, 0, 0);
+  add(160, K::kQueryComplete, 1, 1, 0, 0);
+  add(200, K::kDeliver, 9, 4, 0, 5, 7, "query");
+  add(200, K::kQueryHop, 9, 4, 0, 7);
+  add(200, K::kSpanBegin, 10, 4, 9, 7, 7, "proc");
+  add(210, K::kQueryFalsePositive, 10, 4, 0, 7);
+  add(220, K::kSpanEnd, 10, 4, 0, 0);
+  add(230, K::kQueryComplete, 4, 4, 0, 1);
+
+  constexpr std::size_t kEvicted = 5;
+  obs::TraceBuffer ring(stream.size() - kEvicted);
+  for (const auto& ev : stream) ring.record(ev);
+  ASSERT_EQ(ring.dropped(), kEvicted);
+  const auto tree = obs::SpanTree::build(ring.events());
+
+  const auto ids = [](const std::vector<const obs::Span*>& spans) {
+    std::vector<std::uint64_t> out;
+    for (const auto* s : spans) out.push_back(s->id);
+    return out;
+  };
+  using Ids = std::vector<std::uint64_t>;
+  std::vector<const obs::Span*> all;
+  for (const auto& s : tree.spans()) all.push_back(&s);
+  EXPECT_EQ(ids(all), (Ids{1, 3, 4, 5, 6, 7, 8, 9, 10}));
+  for (const auto* s : all) EXPECT_EQ(tree.find(s->id), s) << s->id;
+  EXPECT_EQ(tree.find(2), nullptr);
+  EXPECT_EQ(tree.find(11), nullptr);
+
+  // Placeholders keep what their surviving events say.
+  const auto* root_a = tree.find(1);
+  ASSERT_NE(root_a, nullptr);
+  EXPECT_EQ(root_a->start_us, -1);
+  EXPECT_EQ(root_a->end_us, 160);
+  EXPECT_EQ(root_a->category, obs::SpanCategory::kRoot);
+  const auto* transit_a = tree.find(3);
+  ASSERT_NE(transit_a, nullptr);
+  EXPECT_EQ(transit_a->start_us, -1);
+  EXPECT_EQ(transit_a->category, obs::SpanCategory::kNetwork);
+  EXPECT_EQ(transit_a->label, "query");
+  EXPECT_EQ(transit_a->parent, 0u);
+
+  EXPECT_EQ(tree.traces(), (Ids{1, 4}));
+  EXPECT_EQ(ids(tree.orphans()), Ids{6});
+  EXPECT_EQ(ids(tree.orphans(1)), Ids{6});
+  EXPECT_TRUE(tree.orphans(4).empty());
+  EXPECT_EQ(ids(tree.unclosed()), Ids{7});
+  EXPECT_TRUE(tree.unclosed(4).empty());
+  EXPECT_TRUE(tree.children(1).empty());
+  EXPECT_EQ(ids(tree.children(3)), Ids{7});
+  EXPECT_EQ(ids(tree.children(4)), Ids{5});
+  EXPECT_EQ(ids(tree.children(5)), Ids{8});
+  EXPECT_EQ(ids(tree.children(8)), Ids{9});
+  EXPECT_EQ(ids(tree.children(9)), Ids{10});
+  EXPECT_EQ(ids(tree.trace_spans(4)), (Ids{4, 5, 8, 9, 10}));
+
+  // B: transit 5 [50, 90], queue [90, 110], proc 8 [110, 150], then
+  // transit 9 [150, 200] into node 7's false positive (a detour).
+  const auto b = obs::query_critical_path(tree, 4,
+                                          obs::QueryEndpoint::kForwarding);
+  EXPECT_TRUE(b.complete);
+  EXPECT_EQ(b.total_us, 150);
+  EXPECT_EQ(b.network_us, 40);
+  EXPECT_EQ(b.queueing_us, 20);
+  EXPECT_EQ(b.processing_us, 40);
+  EXPECT_EQ(b.detour_us, 50);
+  EXPECT_EQ(b.hops, 2u);
+  EXPECT_EQ(b.terminal_span, 9u);
+  EXPECT_EQ(b.terminal_at_us, 200);
+  // B had no result batches; A's start was evicted.
+  const auto b_response =
+      obs::query_critical_path(tree, 4, obs::QueryEndpoint::kResponse);
+  EXPECT_FALSE(b_response.complete);
+  EXPECT_EQ(b_response.terminal_span, 0u);
+  const auto a = obs::query_critical_path(tree, 1,
+                                          obs::QueryEndpoint::kForwarding);
+  EXPECT_FALSE(a.complete);
+  EXPECT_EQ(a.terminal_span, 0u);
+}
+
 // --- Reading one trace from a mark onwards ---
 
 /// Records an event of `trace` whose at_us is its recording position.
@@ -283,6 +405,144 @@ TEST(TraceBuffer, TraceEventsSinceAMarkReadOnlyWhatFollowsIt) {
             (std::vector<std::int64_t>{21, 24}));
   for (std::uint64_t mark = before_clear; mark <= ring.recorded(); ++mark) {
     expect_slice_from(ring, mark);
+  }
+}
+
+/// The ring's contract, kept the obvious way: a deque that drops its
+/// front when full.
+struct RingModel {
+  std::size_t capacity;
+  std::deque<obs::TraceEvent> events;
+  std::uint64_t recorded = 0;
+  std::array<std::uint64_t, obs::kTraceKindCount> dropped_kind{};
+
+  void record(const obs::TraceEvent& ev) {
+    if (events.size() == capacity) {
+      ++dropped_kind[static_cast<std::size_t>(events.front().kind)];
+      events.pop_front();
+    }
+    events.push_back(ev);
+    ++recorded;
+  }
+  void clear() {
+    events.clear();
+    dropped_kind.fill(0);
+  }
+  std::uint64_t dropped() const {
+    std::uint64_t total = 0;
+    for (const auto d : dropped_kind) total += d;
+    return total;
+  }
+  template <typename Keep>
+  std::vector<std::int64_t> select(Keep keep) const {
+    std::vector<std::int64_t> out;
+    const std::uint64_t oldest = recorded - events.size();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      if (keep(events[i], oldest + i)) out.push_back(events[i].at_us);
+    }
+    return out;
+  }
+};
+
+using EventFields = std::tuple<std::int64_t, obs::TraceKind, std::uint64_t,
+                               std::uint64_t, std::uint32_t, std::string>;
+
+/// Every field the ring stores, so a stale or misplaced slot shows.
+std::vector<EventFields> contents(const std::vector<obs::TraceEvent>& evs) {
+  std::vector<EventFields> out;
+  for (const auto& ev : evs) {
+    out.emplace_back(ev.at_us, ev.kind, ev.span, ev.trace, ev.node,
+                     std::string(ev.label));
+  }
+  return out;
+}
+
+void expect_ring_matches(const obs::TraceBuffer& ring,
+                         const RingModel& model) {
+  const std::vector<obs::TraceEvent> want_events(model.events.begin(),
+                                                 model.events.end());
+  ASSERT_EQ(contents(ring.events()), contents(want_events));
+  EXPECT_EQ(ring.size(), model.events.size());
+  EXPECT_EQ(ring.recorded(), model.recorded);
+  EXPECT_EQ(ring.dropped(), model.dropped());
+  std::vector<std::pair<obs::TraceKind, std::uint64_t>> by_kind;
+  for (std::size_t k = 0; k < obs::kTraceKindCount; ++k) {
+    const auto kind = static_cast<obs::TraceKind>(k);
+    EXPECT_EQ(ring.dropped(kind), model.dropped_kind[k]) << to_string(kind);
+    if (model.dropped_kind[k] != 0) {
+      by_kind.emplace_back(kind, model.dropped_kind[k]);
+    }
+  }
+  EXPECT_EQ(ring.dropped_by_kind(), by_kind);
+  for (std::uint64_t id = 0; id <= 4; ++id) {
+    EXPECT_EQ(positions(ring.span_events(id)),
+              model.select([id](const obs::TraceEvent& ev, std::uint64_t) {
+                return ev.span == id;
+              }))
+        << "span " << id;
+  }
+  for (const auto kind : {obs::TraceKind::kSend, obs::TraceKind::kSpanEnd,
+                          obs::TraceKind::kQueryHop}) {
+    EXPECT_EQ(positions(ring.events_of(kind)),
+              model.select([kind](const obs::TraceEvent& ev, std::uint64_t) {
+                return ev.kind == kind;
+              }))
+        << to_string(kind);
+  }
+  // Marks older than the oldest buffered event, inside the ring, and
+  // at and past recorded().
+  const std::uint64_t oldest = model.recorded - model.events.size();
+  std::vector<std::uint64_t> marks = {0,
+                                      oldest,
+                                      oldest + 1,
+                                      oldest + model.events.size() / 2,
+                                      model.recorded,
+                                      model.recorded + 1,
+                                      model.recorded + 7};
+  if (oldest > 0) marks.push_back(oldest - 1);
+  if (model.recorded > 0) marks.push_back(model.recorded - 1);
+  for (std::uint64_t t = 0; t <= 3; ++t) {
+    for (const auto mark : marks) {
+      EXPECT_EQ(positions(ring.trace_events(t, mark)),
+                model.select([t, mark](const obs::TraceEvent& ev,
+                                       std::uint64_t pos) {
+                  return ev.trace == t && pos >= mark;
+                }))
+          << "trace " << t << " since " << mark;
+    }
+  }
+}
+
+TEST(TraceBuffer, FlatRingMatchesADequeModel) {
+  static const char* const kLabels[] = {"", "query", "update", "proc"};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const std::size_t capacity : {1, 2, 3, 8, 64}) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " capacity " +
+                   std::to_string(capacity));
+      util::Rng rng(seed * 1000 + capacity);
+      obs::TraceBuffer ring(capacity);
+      RingModel model{capacity, {}, 0, {}};
+      for (int step = 0; step < 300; ++step) {
+        if (rng.bernoulli(0.02)) {
+          ring.clear();
+          model.clear();
+        } else {
+          obs::TraceEvent ev;
+          // at_us is the recording position, which positions() reads.
+          ev.at_us = static_cast<std::int64_t>(model.recorded);
+          ev.kind = static_cast<obs::TraceKind>(rng.uniform_int(
+              0, static_cast<std::int64_t>(obs::kTraceKindCount) - 1));
+          ev.span = static_cast<std::uint64_t>(rng.uniform_int(0, 4));
+          ev.trace = static_cast<std::uint64_t>(rng.uniform_int(0, 3));
+          ev.node = static_cast<std::uint32_t>(rng.uniform_int(0, 9));
+          ev.label = kLabels[rng.uniform_int(0, 3)];
+          ring.record(ev);
+          model.record(ev);
+        }
+        expect_ring_matches(ring, model);
+        if (::testing::Test::HasFailure()) return;
+      }
+    }
   }
 }
 
