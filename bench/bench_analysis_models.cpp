@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
                                   2)});
   model.print(std::cout);
   std::printf(
-      "ROADS/SWORD update ratio (model): %.4f  (paper: 1-2 orders of "
+      "ROADS/SWORD update ratio (model): %.2e  (paper: 1-2 orders of "
       "magnitude less)\n\n",
       analysis::roads_update_overhead(p) /
           analysis::sword_update_overhead(p));

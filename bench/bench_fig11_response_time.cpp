@@ -21,12 +21,12 @@
 
 #include "bench_common.h"
 #include "central/central_repository.h"
+#include "exp/deployment.h"
 #include "exp/telemetry.h"
 #include "obs/span_tree.h"
 #include "roads/federation.h"
 #include "util/stats.h"
 #include "workload/query_generator.h"
-#include "workload/record_generator.h"
 
 namespace {
 
@@ -58,15 +58,8 @@ int main(int argc, char** argv) {
       profile);
   const std::size_t queries_per_group = profile.full ? 200 : 40;
 
-  const auto schema = record::Schema::uniform_numeric(16);
-  const auto spec =
-      workload::WorkloadSpec::paper_default(16, kRecordsPerNode);
-  workload::RecordGenerator generator(schema, spec, profile.base.seed);
-  generator.anchor_by_balanced_tree(kNodes, 8);
-
   // --- ROADS federation in result-collection mode ---
   core::FederationParams params;
-  params.schema = schema;
   params.seed = profile.base.seed;
   params.config.max_children = 8;
   params.config.collect_results = true;
@@ -76,17 +69,11 @@ int main(int argc, char** argv) {
   params.trace_capacity = profile.base.trace_capacity > 0
                               ? profile.base.trace_capacity
                               : (std::size_t{1} << 16);
-  core::Federation fed(std::move(params));
-  fed.add_servers(kNodes);
-  for (std::size_t n = 0; n < kNodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
+  const exp::Deployment dep(
+      std::move(params), kNodes,
+      workload::WorkloadSpec::paper_default(16, kRecordsPerNode));
+  const auto federation = dep.build_federation();
+  auto& fed = *federation;
   fed.start();
   fed.stabilize();
   // Telemetry over the query phase: a 5 s window (unless overridden)
@@ -103,14 +90,14 @@ int main(int argc, char** argv) {
 
   // --- Central repository with the same records ---
   central::CentralParams cparams;
-  cparams.schema = schema;
+  cparams.schema = dep.schema();
   cparams.seed = profile.base.seed;
   cparams.service_model = service_model();
   central::CentralRepository repo(kNodes, cparams);
   std::vector<record::ResourceRecord> all_records;
   for (std::size_t n = 0; n < kNodes; ++n) {
-    auto records = generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              static_cast<record::OwnerId>(n));
+    auto records = dep.generator().records_for_node(
+        static_cast<std::uint32_t>(n), static_cast<record::OwnerId>(n));
     for (const auto& r : records) all_records.push_back(r);
     repo.set_records(static_cast<sim::NodeId>(n + 1), std::move(records));
   }
@@ -124,7 +111,8 @@ int main(int argc, char** argv) {
 
   util::Table table({"selectivity", "matches", "roads_ms", "roads_p90",
                      "central_ms", "central_p90"});
-  workload::QueryGenerator qgen(schema, spec, profile.base.seed ^ 0xf16);
+  workload::QueryGenerator qgen(dep.schema(), dep.spec(),
+                                profile.base.seed ^ 0xf16);
   util::Rng pick(profile.base.seed ^ 0x11);
 
   // Per-query causal-trace verification (the tracing acceptance gate).
@@ -205,38 +193,13 @@ int main(int argc, char** argv) {
   table.print(std::cout);
 
   // This bench drives the federation itself (no exp-driver runs), so
-  // honor the uniform observability flags here.
-  if (!profile.base.trace_out.empty() && fed.trace() != nullptr) {
-    std::ofstream os(profile.base.trace_out);
-    if (os) {
-      obs::write_chrome_trace(*fed.trace(), os);
-      std::cerr << "wrote " << profile.base.trace_out << "\n";
-    }
-  }
-  if (!profile.base.metrics_out.empty()) {
-    std::ofstream os(profile.base.metrics_out);
-    if (os) {
-      obs::write_prometheus(fed.network().metrics(), os);
-      std::cerr << "wrote " << profile.base.metrics_out << "\n";
-    }
-  }
-  const std::string tl_prefix = profile.base.timeline_out.empty()
-                                    ? "TIMELINE_fig11_response_time"
-                                    : profile.base.timeline_out;
-  {
-    std::ofstream os(tl_prefix + ".csv");
-    if (os) {
-      timeline->write_csv(os);
-      std::cerr << "wrote " << tl_prefix << ".csv\n";
-    }
-  }
-  {
-    std::ofstream os(tl_prefix + ".jsonl");
-    if (os) {
-      timeline->write_jsonl(os);
-      std::cerr << "wrote " << tl_prefix << ".jsonl\n";
-    }
-  }
+  // honor the uniform observability flags here. The timeline is always
+  // written.
+  exp::write_observability(fed, timeline.get(), profile.base.trace_out,
+                           profile.base.metrics_out,
+                           profile.base.timeline_out.empty()
+                               ? "TIMELINE_fig11_response_time"
+                               : profile.base.timeline_out);
 
   int rc = bench::finish_report("fig11_response_time", profile, table);
   std::printf("\ncausal trace: %zu queries verified", traces_verified);

@@ -26,6 +26,14 @@ namespace roads::exp {
 
 namespace {
 
+/// ts and tr, the paper's periods: tr/ts = 0.1 (summaries change an
+/// order of magnitude slower than records). No figure varies them.
+constexpr sim::Time kSummaryPeriod = sim::seconds(100);
+constexpr sim::Time kRecordPeriod = sim::seconds(10);
+/// The paper's query range length (§V). Figs. 6 and 7 vary the query
+/// dimensions, never the range.
+constexpr double kQueryRangeLength = 0.25;
+
 workload::WorkloadSpec spec_for(const ExpConfig& config) {
   if (config.overlap_factor) {
     return workload::WorkloadSpec::with_overlap_factor(
@@ -36,14 +44,37 @@ workload::WorkloadSpec spec_for(const ExpConfig& config) {
                                                config.records_per_node);
 }
 
-workload::RecordGenerator generator_for(const ExpConfig& config,
-                                        const record::Schema& schema,
-                                        std::uint64_t run_seed) {
-  workload::RecordGenerator generator(schema, spec_for(config), run_seed);
-  if (config.correlated_data) {
-    generator.anchor_by_balanced_tree(config.nodes, config.max_children);
+/// The paper's query batch, the same for both systems: `config.queries`
+/// queries from one seeded generator, each from a seeded random start
+/// node. `run(query, start)` resolves one query and returns its outcome;
+/// the completed ones fill `metrics`' query columns.
+template <typename Run>
+void run_query_batch(const ExpConfig& config, const Deployment& dep,
+                     std::uint64_t run_seed, RunMetrics& metrics, Run run) {
+  workload::QueryGenerator qgen(dep.schema(), dep.spec(), run_seed ^ 0x9e37);
+  util::Rng pick(run_seed ^ 0x51a7);
+  util::Samples latencies;
+  util::RunningStat query_bytes;
+  util::RunningStat contacted;
+  util::RunningStat matches;
+  for (std::size_t i = 0; i < config.queries; ++i) {
+    const auto query =
+        qgen.generate(config.query_dimensions, kQueryRangeLength);
+    const auto start = static_cast<sim::NodeId>(pick.uniform_int(
+        0, static_cast<std::int64_t>(config.nodes) - 1));
+    const auto outcome = run(query, start);
+    if (!outcome.complete) continue;
+    latencies.add(outcome.latency_ms);
+    query_bytes.add(static_cast<double>(outcome.query_bytes));
+    contacted.add(static_cast<double>(outcome.servers_contacted));
+    matches.add(static_cast<double>(outcome.matching_records));
   }
-  return generator;
+  metrics.latency_avg_ms = latencies.mean();
+  metrics.latency_p90_ms = latencies.percentile(90.0);
+  metrics.query_bytes_avg = query_bytes.mean();
+  metrics.servers_contacted_avg = contacted.mean();
+  metrics.matches_avg = matches.mean();
+  metrics.queries_completed = static_cast<double>(latencies.count());
 }
 
 /// Structural-only invariant gate for experiment runs: soundness
@@ -83,67 +114,25 @@ void verify_run_invariants(core::Federation& fed, const ExpConfig& config,
 }
 
 /// Observability outputs for the designated repetition (run_seed ==
-/// config.seed): the causal trace as a Perfetto-loadable Chrome trace
-/// and the instrument registry as Prometheus text.
+/// config.seed): the trace, metrics and timeline files, then the
+/// handler profile and its flame graphs.
 void write_run_observability(core::Federation& fed, const ExpConfig& config,
                              std::uint64_t run_seed,
                              const obs::Timeline* timeline) {
   if (run_seed != config.seed) return;
-  if (!config.trace_out.empty() && fed.trace() != nullptr) {
-    std::ofstream os(config.trace_out);
-    if (os) {
-      obs::write_chrome_trace(*fed.trace(), os);
-      std::cerr << "wrote " << config.trace_out << "\n";
-    } else {
-      std::cerr << "warning: cannot write " << config.trace_out << "\n";
-    }
-  }
-  if (!config.metrics_out.empty()) {
-    std::ofstream os(config.metrics_out);
-    if (os) {
-      obs::write_prometheus(fed.network().metrics(), os);
-      std::cerr << "wrote " << config.metrics_out << "\n";
-    } else {
-      std::cerr << "warning: cannot write " << config.metrics_out << "\n";
-    }
-  }
-  if (!config.timeline_out.empty() && timeline != nullptr) {
-    const std::string csv_path = config.timeline_out + ".csv";
-    std::ofstream csv(csv_path);
-    if (csv) {
-      timeline->write_csv(csv);
-      std::cerr << "wrote " << csv_path << "\n";
-    } else {
-      std::cerr << "warning: cannot write " << csv_path << "\n";
-    }
-    const std::string jsonl_path = config.timeline_out + ".jsonl";
-    std::ofstream jsonl(jsonl_path);
-    if (jsonl) {
-      timeline->write_jsonl(jsonl);
-      std::cerr << "wrote " << jsonl_path << "\n";
-    } else {
-      std::cerr << "warning: cannot write " << jsonl_path << "\n";
-    }
-  }
+  write_observability(fed, timeline, config.trace_out, config.metrics_out,
+                      config.timeline_out);
   if (!config.profile_out.empty() && fed.profiler() != nullptr) {
     const auto profile = fed.profiler()->profile();
-    std::ofstream os(config.profile_out);
-    if (os) {
+    write_file(config.profile_out, [&](std::ostream& os) {
       obs::write_profile_json(profile, os, "roads", run_seed, config.threads);
-      std::cerr << "wrote " << config.profile_out << "\n";
-    } else {
-      std::cerr << "warning: cannot write " << config.profile_out << "\n";
-    }
-    std::ofstream collapsed(config.profile_out + ".collapsed");
-    if (collapsed) {
-      obs::write_collapsed(profile, collapsed);
-      std::cerr << "wrote " << config.profile_out << ".collapsed\n";
-    }
-    std::ofstream speedscope(config.profile_out + ".speedscope.json");
-    if (speedscope) {
-      obs::write_speedscope(profile, speedscope, "roads");
-      std::cerr << "wrote " << config.profile_out << ".speedscope.json\n";
-    }
+    });
+    write_file(config.profile_out + ".collapsed",
+               [&](std::ostream& os) { obs::write_collapsed(profile, os); });
+    write_file(config.profile_out + ".speedscope.json",
+               [&](std::ostream& os) {
+                 obs::write_speedscope(profile, os, "roads");
+               });
     std::cerr << obs::profile_top_line(profile, "roads", 5) << "\n";
     std::cerr << obs::profile_top_table(profile, 5);
   }
@@ -151,19 +140,8 @@ void write_run_observability(core::Federation& fed, const ExpConfig& config,
 
 }  // namespace
 
-RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
-  const auto run_start = std::chrono::steady_clock::now();
-  const auto wall_s = [](std::chrono::steady_clock::time_point from) {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         from)
-        .count();
-  };
-  const auto schema = record::Schema::uniform_numeric(config.attributes);
-  const auto spec = spec_for(config);
-  const auto generator = generator_for(config, schema, run_seed);
-
+Deployment deployment_for(const ExpConfig& config, std::uint64_t run_seed) {
   core::FederationParams params;
-  params.schema = schema;
   params.seed = run_seed;
   params.config.max_children = config.max_children;
   params.config.summary.histogram_buckets = config.histogram_buckets;
@@ -172,8 +150,8 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
         summary::NumericMode::kMultiResolution;
     params.config.summary.multires_budget = config.multires_budget;
   }
-  params.config.summary_refresh_period = config.summary_period;
-  params.config.summary_ttl = 4 * config.summary_period;
+  params.config.summary_refresh_period = kSummaryPeriod;
+  params.config.summary_ttl = 4 * kSummaryPeriod;
   params.config.overlay_enabled = config.overlay;
   params.config.join_policy = config.join_policy;
   params.config.summary_keepalive_rounds = config.summary_keepalive_rounds;
@@ -188,22 +166,19 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   } else if (!config.trace_out.empty() && run_seed == config.seed) {
     params.trace_capacity = std::size_t{1} << 16;
   }
+  return Deployment(std::move(params), config.nodes, spec_for(config));
+}
 
-  core::Federation fed(std::move(params));
-  fed.add_servers(config.nodes);
-
-  // Every server hosts one co-located owner exporting detailed records
-  // (the owner-hosts-its-own-server pattern of Fig. 1).
-  for (std::size_t n = 0; n < config.nodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
-
+RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
+  const auto run_start = std::chrono::steady_clock::now();
+  const auto wall_s = [](std::chrono::steady_clock::time_point from) {
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         from)
+        .count();
+  };
+  const auto dep = deployment_for(config, run_seed);
+  const auto federation = dep.build_federation();
+  auto& fed = *federation;
   fed.start();
   // Telemetry sampler: attached after formation (add_server drains the
   // event queue between joins; a live sampler would keep those drains
@@ -212,10 +187,9 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   std::unique_ptr<obs::Timeline> timeline;
   if (config.probe_interval > 0 || !config.timeline_out.empty()) {
     TelemetryOptions topts;
-    topts.timeline.window = config.probe_interval > 0 ? config.probe_interval
-                                                      : config.summary_period;
+    topts.timeline.window =
+        config.probe_interval > 0 ? config.probe_interval : kSummaryPeriod;
     topts.audit_query_dimensions = config.query_dimensions;
-    topts.audit_range_length = config.query_range_length;
     topts.audit_seed = run_seed ^ 0x0b5e;
     timeline = attach_timeline(fed, topts);
     start_timeline(fed, *timeline);
@@ -246,7 +220,7 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
       std::max<std::size_t>(1, config.summary_keepalive_rounds);
   fed.network().reset_meters();
   const auto engine_start = std::chrono::steady_clock::now();
-  fed.advance(cycle * config.summary_period);
+  fed.advance(cycle * kSummaryPeriod);
   // Engine-bound phase: stabilization plus this metered advance is
   // where the sharded engine parallelizes (refresh waves dominate);
   // joins and the query batch below run event-at-a-time under either
@@ -256,7 +230,7 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
   metrics.update_bytes_per_round =
       static_cast<double>(update_meter.bytes) / static_cast<double>(cycle);
   metrics.update_bytes_per_s =
-      metrics.update_bytes_per_round / sim::to_seconds(config.summary_period);
+      metrics.update_bytes_per_round / sim::to_seconds(kSummaryPeriod);
   metrics.maintenance_msgs_per_round =
       static_cast<double>(update_meter.messages) / static_cast<double>(cycle);
 
@@ -267,53 +241,31 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
                  static_cast<double>(server->stored_summary_bytes()));
   }
 
-  // Queries: the paper's batch, each issued from a random node, with
-  // summaries held steady (they would not change during a query burst
-  // anyway — ts is minutes).
+  // Queries: the paper's batch, with summaries held steady (they would
+  // not change during a query burst anyway — ts is minutes).
   fed.set_refresh_paused(true);
-  workload::QueryGenerator qgen(schema, spec, run_seed ^ 0x9e37);
-  util::Rng pick(run_seed ^ 0x51a7);
-  util::Samples latencies;
-  util::RunningStat query_bytes;
-  util::RunningStat contacted;
-  util::RunningStat matches;
-  std::size_t completed = 0;
   std::size_t touched_root = 0;
   std::size_t shed_events = 0;
   std::size_t rejected = 0;
   const bool from_root = config.start_at_root || !config.overlay;
   const auto root = fed.topology().root();
-  for (std::size_t i = 0; i < config.queries; ++i) {
-    const auto query =
-        qgen.generate(config.query_dimensions, config.query_range_length);
-    auto start = static_cast<sim::NodeId>(pick.uniform_int(
-        0, static_cast<std::int64_t>(config.nodes) - 1));
-    if (from_root) start = root;
-    const auto outcome = fed.run_query(query, start);
+  const auto run = [&](const record::Query& query, sim::NodeId start) {
+    auto outcome = fed.run_query(query, from_root ? root : start);
     shed_events += outcome.sheds;
     if (outcome.rejected) ++rejected;
-    if (!outcome.complete) continue;
-    ++completed;
-    latencies.add(outcome.latency_ms);
-    query_bytes.add(static_cast<double>(outcome.query_bytes));
-    contacted.add(static_cast<double>(outcome.servers_contacted));
-    matches.add(static_cast<double>(outcome.matching_records));
-    if (std::find(outcome.contacted.begin(), outcome.contacted.end(), root) !=
-        outcome.contacted.end()) {
+    if (outcome.complete &&
+        std::find(outcome.contacted.begin(), outcome.contacted.end(), root) !=
+            outcome.contacted.end()) {
       ++touched_root;
     }
-  }
-  metrics.latency_avg_ms = latencies.mean();
-  metrics.latency_p90_ms = latencies.percentile(90.0);
-  metrics.query_bytes_avg = query_bytes.mean();
-  metrics.servers_contacted_avg = contacted.mean();
-  metrics.matches_avg = matches.mean();
-  metrics.queries_completed = static_cast<double>(completed);
+    return outcome;
+  };
+  run_query_batch(config, dep, run_seed, metrics, run);
   metrics.queries_shed = static_cast<double>(shed_events);
   metrics.queries_rejected = static_cast<double>(rejected);
-  if (completed > 0) {
+  if (metrics.queries_completed > 0) {
     metrics.root_contact_fraction =
-        static_cast<double>(touched_root) / static_cast<double>(completed);
+        static_cast<double>(touched_root) / metrics.queries_completed;
   }
   metrics.instruments = fed.network().metrics().snapshot();
   if (timeline) {
@@ -344,19 +296,16 @@ RunMetrics run_roads_once(const ExpConfig& config, std::uint64_t run_seed) {
 }
 
 RunMetrics run_sword_once(const ExpConfig& config, std::uint64_t run_seed) {
-  const auto schema = record::Schema::uniform_numeric(config.attributes);
-  const auto spec = spec_for(config);
-  const auto generator = generator_for(config, schema, run_seed);
-
+  const auto dep = deployment_for(config, run_seed);
   sword::SwordParams params;
-  params.schema = schema;
+  params.schema = dep.schema();
   params.seed = run_seed;
-  params.record_refresh_period = config.record_period;
+  params.record_refresh_period = kRecordPeriod;
 
   sword::SwordSystem sys(config.nodes, params);
   for (std::size_t n = 0; n < config.nodes; ++n) {
     sys.set_records(static_cast<sim::NodeId>(n),
-                    generator.records_for_node(
+                    dep.generator().records_for_node(
                         static_cast<std::uint32_t>(n),
                         static_cast<record::OwnerId>(n + 1)));
   }
@@ -365,36 +314,13 @@ RunMetrics run_sword_once(const ExpConfig& config, std::uint64_t run_seed) {
   metrics.update_bytes_per_round =
       static_cast<double>(sys.run_registration_round());
   metrics.update_bytes_per_s =
-      metrics.update_bytes_per_round / sim::to_seconds(config.record_period);
+      metrics.update_bytes_per_round / sim::to_seconds(kRecordPeriod);
   metrics.max_storage_bytes = static_cast<double>(sys.max_stored_bytes());
 
-  // Identical query batch and start nodes as the ROADS run (same seeds).
-  workload::QueryGenerator qgen(schema, spec, run_seed ^ 0x9e37);
-  util::Rng pick(run_seed ^ 0x51a7);
-  util::Samples latencies;
-  util::RunningStat query_bytes;
-  util::RunningStat contacted;
-  util::RunningStat matches;
-  std::size_t completed = 0;
-  for (std::size_t i = 0; i < config.queries; ++i) {
-    const auto query =
-        qgen.generate(config.query_dimensions, config.query_range_length);
-    const auto start = static_cast<sim::NodeId>(pick.uniform_int(
-        0, static_cast<std::int64_t>(config.nodes) - 1));
-    const auto outcome = sys.run_query(query, start);
-    if (!outcome.complete) continue;
-    ++completed;
-    latencies.add(outcome.latency_ms);
-    query_bytes.add(static_cast<double>(outcome.query_bytes));
-    contacted.add(static_cast<double>(outcome.servers_contacted));
-    matches.add(static_cast<double>(outcome.matching_records));
-  }
-  metrics.latency_avg_ms = latencies.mean();
-  metrics.latency_p90_ms = latencies.percentile(90.0);
-  metrics.query_bytes_avg = query_bytes.mean();
-  metrics.servers_contacted_avg = contacted.mean();
-  metrics.matches_avg = matches.mean();
-  metrics.queries_completed = static_cast<double>(completed);
+  run_query_batch(config, dep, run_seed, metrics,
+                  [&sys](const record::Query& query, sim::NodeId start) {
+                    return sys.run_query(query, start);
+                  });
   metrics.instruments = sys.network().metrics().snapshot();
   return metrics;
 }

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "exp/deployment.h"
 #include "hierarchy/join_policy.h"
 #include "record/query.h"
 #include "sim/fault.h"
@@ -22,14 +23,15 @@ namespace roads::exp {
 
 /// One experiment's parameter point. Defaults are the paper's §V
 /// simulation defaults: 320 nodes x 500 records, 16 attributes,
-/// 6-dimensional queries of range 0.25, degree-8 hierarchy, 1000-bucket
-/// histograms, 500 queries, averaged over 10 runs.
+/// 6-dimensional queries, degree-8 hierarchy, 1000-bucket histograms,
+/// 500 queries, averaged over 10 runs. The query range (0.25) and the
+/// periods ts = 100 s and tr = 10 s are constants in experiment.cpp:
+/// no figure varies them.
 struct ExpConfig {
   std::size_t nodes = 320;
   std::size_t records_per_node = 500;
   std::size_t attributes = 16;
   std::size_t query_dimensions = 6;
-  double query_range_length = 0.25;
   std::size_t queries = 500;
   std::size_t runs = 10;
   std::size_t max_children = 8;
@@ -41,10 +43,6 @@ struct ExpConfig {
   /// Fig. 9: when set, the first 8 attributes become per-node windows
   /// of length overlap_factor / nodes.
   std::optional<double> overlap_factor;
-  /// Anchor each node's data by its DFS rank in the balanced hierarchy
-  /// (administrative locality -> branch summaries can prune interior
-  /// levels); both systems see identical records either way.
-  bool correlated_data = true;
   /// Replication overlay on (paper) / off (ablation: root-start only).
   bool overlay = true;
   /// Join steering policy (balanced = paper; random/proximity for the
@@ -55,10 +53,6 @@ struct ExpConfig {
   /// (automatic when the overlay is off).
   bool start_at_root = false;
   std::uint64_t seed = 1;
-  /// ts and tr; the paper uses tr/ts = 0.1 (summaries change an order
-  /// of magnitude slower than records).
-  sim::Time summary_period = sim::seconds(100);
-  sim::Time record_period = sim::seconds(10);
   /// Digest-suppression keepalive cadence handed to RoadsConfig: pushes
   /// with unchanged content are skipped except every K-th round. 0
   /// disables suppression (every round pushes fully — the baseline
@@ -170,6 +164,11 @@ struct RunMetrics {
   /// averaged element-wise across repetitions.
   util::MetricSet instruments;
 };
+
+/// The deployment both systems measure at this point: run_roads_once
+/// builds its federation, and run_sword_once loads SWORD from its
+/// generator. `run_seed` seeds data and federation alike.
+Deployment deployment_for(const ExpConfig& config, std::uint64_t run_seed);
 
 /// Runs ROADS once at this parameter point. `run_seed` perturbs
 /// topology, data and queries; the paper averages 10 such runs.

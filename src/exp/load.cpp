@@ -1,73 +1,78 @@
 #include "exp/load.h"
 
 #include <algorithm>
-#include <stdexcept>
 #include <vector>
 
 #include "central/central_repository.h"
-#include "record/schema.h"
 #include "roads/federation.h"
 #include "store/service_model.h"
 #include "util/hash.h"
 #include "util/stats.h"
 #include "workload/distributions.h"
 #include "workload/query_generator.h"
-#include "workload/record_generator.h"
 
 namespace roads::exp {
 
 namespace {
 
+/// The CI-sized data and query shape: 8 attributes, a degree-8
+/// hierarchy with 200-bucket histograms and ts = 100 s, and
+/// 4-dimensional queries of the paper's range 0.25 whose population
+/// ranks are drawn Zipf(1.0). No sweep varies them.
+constexpr std::size_t kAttributes = 8;
+constexpr std::size_t kMaxChildren = 8;
+constexpr std::size_t kHistogramBuckets = 200;
+constexpr sim::Time kSummaryPeriod = sim::seconds(100);
+constexpr std::size_t kQueryDimensions = 4;
+constexpr double kQueryRangeLength = 0.25;
+constexpr double kZipfS = 1.0;
+/// Start servers: the last 4 ids (leaves under the balanced join
+/// policy), a small gateway set that concentrates offered load enough
+/// to expose the admission knee at CI-sized batches.
+constexpr std::size_t kIngressNodes = 4;
+/// One evaluation slot per server, each evaluation 10 ms: heavier than
+/// the protocol default of 1 ms and comparable to what the service-time
+/// model charges the central baseline per query, so serving capacity,
+/// not the delay space, sets the saturation knee.
+constexpr std::size_t kConcurrencyLimit = 1;
+constexpr sim::Time kProcessingDelay = sim::ms(10);
+
 struct Plan {
-  std::vector<sim::Time> arrivals;
-  std::vector<std::size_t> query_rank;   // population index per arrival
-  std::vector<std::size_t> start_node;   // 0-based server index
   std::vector<record::Query> population;
+  std::vector<Arrival> arrivals;
+  std::vector<std::size_t> query_rank;  // population index per arrival
 };
 
 /// The full pre-drawn schedule: arrival instants, Zipf ranks and start
 /// nodes, all from seed-forked streams. Both systems replay the same
 /// plan, and drawing everything up front keeps the RNG sequence
 /// independent of execution interleaving (the determinism gate).
-Plan make_plan(const LoadConfig& config, const record::Schema& schema,
-               const workload::WorkloadSpec& spec) {
+Plan make_plan(const LoadConfig& config, const Deployment& dep) {
   Plan plan;
   util::Rng arrival_rng(config.seed ^ 0xa441u);
-  plan.arrivals =
+  const auto times =
       workload::generate_arrivals(config.arrival, config.queries, arrival_rng);
 
-  workload::QueryGenerator qgen(schema, spec, config.seed ^ 0x9e37u);
-  plan.population = qgen.generate_batch(std::max<std::size_t>(1, config.population),
-                                        config.query_dimensions,
-                                        config.query_range_length);
-  workload::ZipfSampler zipf(plan.population.size(), config.zipf_s);
+  workload::QueryGenerator qgen(dep.schema(), dep.spec(),
+                                config.seed ^ 0x9e37u);
+  plan.population = qgen.generate_batch(
+      std::max<std::size_t>(1, config.population), kQueryDimensions,
+      kQueryRangeLength);
+  workload::ZipfSampler zipf(plan.population.size(), kZipfS);
   util::Rng zipf_rng(config.seed ^ 0x21bfu);
   util::Rng pick(config.seed ^ 0x51a7u);
-  // Start nodes: the last `ingress_nodes` server ids (leaves under the
-  // balanced join policy), or any node when ingress is 0/oversized.
-  const std::size_t ingress =
-      (config.ingress_nodes == 0 || config.ingress_nodes > config.nodes)
-          ? config.nodes
-          : config.ingress_nodes;
-  plan.query_rank.reserve(config.queries);
-  plan.start_node.reserve(config.queries);
-  for (std::size_t i = 0; i < config.queries; ++i) {
-    plan.query_rank.push_back(zipf.sample(zipf_rng));
+  const std::size_t ingress = std::min(kIngressNodes, config.nodes);
+  plan.arrivals.reserve(times.size());
+  plan.query_rank.reserve(times.size());
+  for (const auto at : times) {
+    const auto rank = zipf.sample(zipf_rng);
     const auto slot = static_cast<std::size_t>(
         pick.uniform_int(0, static_cast<std::int64_t>(ingress) - 1));
-    plan.start_node.push_back(config.nodes - 1 - slot);
+    const auto start = static_cast<sim::NodeId>(config.nodes - 1 - slot);
+    plan.query_rank.push_back(rank);
+    plan.arrivals.push_back({at, plan.population[rank], start});
   }
   return plan;
-}
-
-workload::RecordGenerator generator_for(const LoadConfig& config,
-                                        const record::Schema& schema,
-                                        const workload::WorkloadSpec& spec) {
-  workload::RecordGenerator generator(schema, spec, config.seed);
-  if (config.correlated_data) {
-    generator.anchor_by_balanced_tree(config.nodes, config.max_children);
-  }
-  return generator;
 }
 
 void fold_outcome(util::Fnv1a& fp, bool complete, std::size_t sheds,
@@ -81,41 +86,53 @@ void fold_outcome(util::Fnv1a& fp, bool complete, std::size_t sheds,
   fp.add(static_cast<std::uint64_t>(latency_us));
 }
 
+/// Fills `out`'s fingerprint, latency quantiles over the served
+/// queries, offered rate over the schedule's span, and goodput over the
+/// span from `t0`, when the schedule starts, to `last_done`.
+void fold_latencies(LoadMetrics& out, const Plan& plan, const util::Fnv1a& fp,
+                    const util::Samples& served, sim::Time t0,
+                    sim::Time last_done) {
+  out.fingerprint = fp.value();
+  out.mean_ms = served.mean();
+  out.p50_ms = served.percentile(50.0);
+  out.p99_ms = served.percentile(99.0);
+  const auto offered_span =
+      plan.arrivals.empty() ? 0 : plan.arrivals.back().delay;
+  if (offered_span > 0) {
+    out.offered_qps =
+        static_cast<double>(out.issued) / sim::to_seconds(offered_span);
+  }
+  if (last_done > t0) {
+    out.span_s = sim::to_seconds(last_done - t0);
+    out.goodput_qps = static_cast<double>(served.count()) / out.span_s;
+  }
+}
+
 }  // namespace
 
-LoadMetrics run_roads_load(const LoadConfig& config) {
-  const auto schema = record::Schema::uniform_numeric(config.attributes);
-  const auto spec = workload::WorkloadSpec::paper_default(
-      config.attributes, config.records_per_node);
-  const auto generator = generator_for(config, schema, spec);
-  const auto plan = make_plan(config, schema, spec);
-
+Deployment deployment_for(const LoadConfig& config) {
   core::FederationParams params;
-  params.schema = schema;
   params.seed = config.seed;
   params.threads = config.threads;
-  params.config.max_children = config.max_children;
-  params.config.summary.histogram_buckets = config.histogram_buckets;
-  params.config.summary_refresh_period = config.summary_period;
-  params.config.summary_ttl = 4 * config.summary_period;
+  params.config.max_children = kMaxChildren;
+  params.config.summary.histogram_buckets = kHistogramBuckets;
+  params.config.summary_refresh_period = kSummaryPeriod;
+  params.config.summary_ttl = 4 * kSummaryPeriod;
   params.config.query_cache_enabled = config.cache_enabled;
-  params.config.query_concurrency_limit = config.concurrency_limit;
+  params.config.query_concurrency_limit = kConcurrencyLimit;
   params.config.query_queue_limit = config.queue_limit;
-  if (config.processing_delay > 0) {
-    params.config.query_processing_delay = config.processing_delay;
-  }
+  params.config.query_processing_delay = kProcessingDelay;
+  return Deployment(
+      std::move(params), config.nodes,
+      workload::WorkloadSpec::paper_default(kAttributes,
+                                            config.records_per_node));
+}
 
-  core::Federation fed(std::move(params));
-  fed.add_servers(config.nodes);
-  for (std::size_t n = 0; n < config.nodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
+LoadMetrics run_roads_load(const LoadConfig& config) {
+  const auto dep = deployment_for(config);
+  const auto plan = make_plan(config, dep);
+  const auto federation = dep.build_federation();
+  auto& fed = *federation;
   fed.start();
   fed.stabilize();
   // Summaries held steady through the measurement, like the closed-loop
@@ -135,31 +152,8 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
   const auto evicted0 = evict_ctr.value();
   const auto inval0 = inval_ctr.value();
 
-  // Open-loop issue: every arrival is a pre-scheduled engine event that
-  // starts its client; nothing waits for anything.
   const auto t0 = fed.network().simulator().now();
-  std::vector<std::shared_ptr<core::RoadsClient>> clients(plan.arrivals.size());
-  for (std::size_t i = 0; i < plan.arrivals.size(); ++i) {
-    fed.network().simulator().schedule_after(
-        plan.arrivals[i], [&fed, &clients, &plan, i] {
-          clients[i] = fed.issue_query(
-              plan.population[plan.query_rank[i]],
-              static_cast<sim::NodeId>(plan.start_node[i]));
-        });
-  }
-  const auto all_done = [&clients] {
-    for (const auto& c : clients) {
-      if (!c || !c->done()) return false;
-    }
-    return true;
-  };
-  std::size_t guard = 0;
-  while (!all_done()) {
-    if (fed.step(2048) == 0) break;  // queue drained with clients open
-    if (++guard > 200'000) {
-      throw std::runtime_error("run_roads_load: measurement did not complete");
-    }
-  }
+  const auto clients = drive_open_loop(fed, plan.arrivals);
 
   LoadMetrics out;
   out.issued = clients.size();
@@ -167,8 +161,6 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
   util::Fnv1a fp;
   sim::Time last_done = 0;
   for (const auto& c : clients) {
-    if (!c) continue;
-    fed.note_query_complete(*c);
     const auto& r = c->result();
     fold_outcome(fp, r.complete, r.sheds, r.rejected, r.servers_contacted,
                  r.matching_records, r.forwarding_latency());
@@ -183,20 +175,7 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
       last_done = std::max(last_done, r.last_arrival);
     }
   }
-  out.fingerprint = fp.value();
-  out.mean_ms = served.mean();
-  out.p50_ms = served.percentile(50.0);
-  out.p99_ms = served.percentile(99.0);
-
-  const auto offered_span = plan.arrivals.empty() ? 0 : plan.arrivals.back();
-  if (offered_span > 0) {
-    out.offered_qps = static_cast<double>(out.issued) /
-                      sim::to_seconds(offered_span);
-  }
-  if (last_done > t0) {
-    out.span_s = sim::to_seconds(last_done - t0);
-    out.goodput_qps = static_cast<double>(served.count()) / out.span_s;
-  }
+  fold_latencies(out, plan, fp, served, t0, last_done);
   out.cache_hits = hit_ctr.value() - hits0;
   out.cache_misses = miss_ctr.value() - misses0;
   out.neg_hits = neg_ctr.value() - negs0;
@@ -210,19 +189,16 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
 }
 
 LoadMetrics run_central_load(const LoadConfig& config) {
-  const auto schema = record::Schema::uniform_numeric(config.attributes);
-  const auto spec = workload::WorkloadSpec::paper_default(
-      config.attributes, config.records_per_node);
-  const auto generator = generator_for(config, schema, spec);
-  const auto plan = make_plan(config, schema, spec);
+  const auto dep = deployment_for(config);
+  const auto plan = make_plan(config, dep);
 
   central::CentralParams params;
-  params.schema = schema;
+  params.schema = dep.schema();
   params.seed = config.seed;
   central::CentralRepository repo(config.nodes, params);
   for (std::size_t n = 0; n < config.nodes; ++n) {
     repo.set_records(static_cast<sim::NodeId>(n + 1),
-                     generator.records_for_node(
+                     dep.generator().records_for_node(
                          static_cast<std::uint32_t>(n),
                          static_cast<record::OwnerId>(n + 1)));
   }
@@ -250,9 +226,9 @@ LoadMetrics run_central_load(const LoadConfig& config) {
   sim::Time free_at = 0;
   sim::Time last_done = 0;
   for (std::size_t i = 0; i < plan.arrivals.size(); ++i) {
-    const auto at = plan.arrivals[i];
+    const auto at = plan.arrivals[i].delay;
     const auto client =
-        static_cast<sim::NodeId>(plan.start_node[i] % config.nodes + 1);
+        static_cast<sim::NodeId>(plan.arrivals[i].start % config.nodes + 1);
     const auto rank = plan.query_rank[i];
     const auto reach = at + repo.network().latency(client, 0);
     const auto begin = std::max(reach, free_at);
@@ -264,19 +240,7 @@ LoadMetrics run_central_load(const LoadConfig& config) {
     fold_outcome(fp, true, 0, false, 1, 0, reply - at);
   }
   out.completed = out.issued;
-  out.fingerprint = fp.value();
-  out.mean_ms = lat.mean();
-  out.p50_ms = lat.percentile(50.0);
-  out.p99_ms = lat.percentile(99.0);
-  const auto offered_span = plan.arrivals.empty() ? 0 : plan.arrivals.back();
-  if (offered_span > 0) {
-    out.offered_qps =
-        static_cast<double>(out.issued) / sim::to_seconds(offered_span);
-  }
-  if (last_done > 0) {
-    out.span_s = sim::to_seconds(last_done);
-    out.goodput_qps = static_cast<double>(lat.count()) / out.span_s;
-  }
+  fold_latencies(out, plan, fp, lat, 0, last_done);
   return out;
 }
 

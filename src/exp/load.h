@@ -9,64 +9,43 @@
 // engine steps, so queueing, admission control and the digest-keyed
 // result cache are exercised the way a real serving system sees them.
 //
-// run_roads_load drives a full federation event-by-event (safe at any
-// engine thread count — Federation::step micro-steps sharded engines
-// in exact global order, so results are bit-identical across thread
-// counts; the fingerprint field pins that). run_central_load replays
-// the same schedule through an analytic serial queue at the central
-// repository: one server, one queue, the paper's service-time model —
-// the baseline whose tail collapses first.
+// run_roads_load serves the schedule through a full federation with
+// the open-loop drive (exp/deployment.h), so results are bit-identical
+// across thread counts; the fingerprint field pins that.
+// run_central_load replays the same schedule through an analytic serial
+// queue at the central repository: one server, one queue, the paper's
+// service-time model — the baseline whose tail collapses first.
 #pragma once
 
 #include <cstdint>
 #include <cstddef>
 
-#include "sim/time.h"
+#include "exp/deployment.h"
 #include "workload/arrival.h"
 
 namespace roads::exp {
 
+/// One offered-load point. The data, query and serving shapes are
+/// constants in load.cpp: no sweep varies them.
 struct LoadConfig {
-  // Federation / data (mirrors ExpConfig, CI-sized defaults).
+  // Federation / data (CI-sized defaults).
   std::size_t nodes = 64;
   std::size_t records_per_node = 100;
-  std::size_t attributes = 8;
-  std::size_t query_dimensions = 4;
-  double query_range_length = 0.25;
-  std::size_t max_children = 8;
-  std::size_t histogram_buckets = 200;
-  bool correlated_data = true;
   std::uint64_t seed = 1;
   /// Engine shards for the ROADS side (FederationParams::threads).
   std::size_t threads = 1;
-  sim::Time summary_period = sim::seconds(100);
 
   // Offered load.
   workload::ArrivalSpec arrival;
   /// Arrivals in the measurement (the open-loop batch size).
   std::size_t queries = 1000;
-  /// Distinct queries in the population; arrivals sample ranks from
-  /// Zipf(zipf_s) over it. Small population + s near 1 = cache-friendly.
+  /// Distinct queries in the population; arrivals sample ranks from a
+  /// Zipf law over it, so a small population is cache-friendly.
   std::size_t population = 32;
-  double zipf_s = 1.0;
-
-  /// Distinct ingress (start) servers, drawn from the leaf end of the
-  /// id range — models a small gateway set fronting the federation and
-  /// concentrates offered load enough to expose the admission knee at
-  /// CI-sized batches. 0 = every node (the closed-loop drivers' habit).
-  std::size_t ingress_nodes = 4;
 
   // Serving knobs (RoadsConfig pass-throughs; central ignores them).
   bool cache_enabled = true;
-  /// 0 = infinite-server (the historical model: no queue, no shedding).
-  std::size_t concurrency_limit = 1;
   std::size_t queue_limit = 16;
-  /// Per-hop evaluation time (RoadsConfig::query_processing_delay).
-  /// The load harness defaults to a heavier evaluation than the
-  /// protocol-level default 1 ms — comparable to what the service-time
-  /// model charges the central baseline per query — so serving capacity
-  /// (not the delay space) sets the saturation knee.
-  sim::Time processing_delay = sim::ms(10);
 };
 
 /// What one offered-load point measured.
@@ -102,6 +81,11 @@ struct LoadMetrics {
   /// serving history replayed bit-identically (thread-count gate).
   std::uint64_t fingerprint = 0;
 };
+
+/// The deployment both systems serve: run_roads_load builds its
+/// federation, and run_central_load loads the repository from its
+/// generator.
+Deployment deployment_for(const LoadConfig& config);
 
 /// Offered-load point through a live federation (open loop).
 LoadMetrics run_roads_load(const LoadConfig& config);

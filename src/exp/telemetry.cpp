@@ -1,10 +1,13 @@
 #include "exp/telemetry.h"
 
 #include <algorithm>
+#include <fstream>
+#include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "obs/export.h"
 #include "obs/probes.h"
 #include "record/query.h"
 #include "roads/federation.h"
@@ -15,6 +18,21 @@
 namespace roads::exp {
 
 namespace {
+
+/// The divergence audit: per tick, 8 fresh queries of the paper's range
+/// against a window of at most 16 alive servers that rotates through the
+/// federation, so every server is audited eventually at a bounded cost.
+constexpr std::size_t kAuditQueries = 8;
+constexpr std::size_t kAuditServerSample = 16;
+constexpr double kAuditRangeLength = 0.25;
+/// Health bound on the audit's false-negative rate: a false negative
+/// loses real resources, a false positive only costs detour traffic.
+constexpr double kDivergenceThreshold = 0.05;
+/// Convergence flatness gate on the update rate. Keepalive waves make it
+/// bursty by design, hence the generous tolerance; quiet windows below
+/// the floor (bytes/s) are flat, so they never divide by a near-zero mean.
+constexpr double kFlatRateTolerance = 4.0;
+constexpr double kFlatRateFloor = 64.0;
 
 /// Private query stream + rotating server cursor for the divergence
 /// audit, shared by the fp/fn probes. Both probes run in the same tick;
@@ -116,7 +134,8 @@ std::unique_ptr<obs::Timeline> attach_timeline(
       fed.schema(),
       workload::WorkloadSpec::paper_default(fed.schema().size()),
       options.audit_seed);
-  auto run_audit = [f, options, audit](sim::Time now) {
+  const auto dims = options.audit_query_dimensions;
+  auto run_audit = [f, dims, audit](sim::Time now) {
     if (audit->at == now) return;  // one audit per tick, shared by probes
     audit->at = now;
     audit->tally = obs::DivergenceTally{};
@@ -124,15 +143,13 @@ std::unique_ptr<obs::Timeline> attach_timeline(
     for (auto* s : f->servers()) {
       if (s->alive()) alive.push_back(s);
     }
-    if (alive.empty() || options.audit_queries == 0) return;
+    if (alive.empty()) return;
     std::vector<record::Query> queries;
-    queries.reserve(options.audit_queries);
-    for (std::size_t i = 0; i < options.audit_queries; ++i) {
-      queries.push_back(audit->generator.generate(
-          options.audit_query_dimensions, options.audit_range_length));
+    queries.reserve(kAuditQueries);
+    for (std::size_t i = 0; i < kAuditQueries; ++i) {
+      queries.push_back(audit->generator.generate(dims, kAuditRangeLength));
     }
-    const std::size_t sample =
-        std::min(options.audit_server_sample, alive.size());
+    const std::size_t sample = std::min(kAuditServerSample, alive.size());
     for (std::size_t k = 0; k < sample; ++k) {
       auto* s = alive[(audit->cursor + k) % alive.size()];
       const auto summary = s->local_summary();
@@ -185,21 +202,20 @@ std::unique_ptr<obs::Timeline> attach_timeline(
   });
 
   // --- Per-node series ------------------------------------------------------
-  if (options.per_node_series) {
-    timeline->add_node_probe(
-        "staleness.replica_s", fed.server_count(),
-        [f](std::uint32_t node, sim::Time now) {
-          auto& s = f->server(node);
-          return s.alive() ? sim::to_seconds(s.replicas().max_age(now)) : 0.0;
-        });
-    timeline->add_node_probe("load.visits", fed.server_count(),
-                             [f](std::uint32_t node, sim::Time) {
-                               const auto& v = f->query_visits();
-                               return node < v.size()
-                                          ? static_cast<double>(v[node])
-                                          : 0.0;
-                             });
-  }
+  // JSONL-only payload: O(nodes) doubles per window.
+  timeline->add_node_probe(
+      "staleness.replica_s", fed.server_count(),
+      [f](std::uint32_t node, sim::Time now) {
+        auto& s = f->server(node);
+        return s.alive() ? sim::to_seconds(s.replicas().max_age(now)) : 0.0;
+      });
+  timeline->add_node_probe("load.visits", fed.server_count(),
+                           [f](std::uint32_t node, sim::Time) {
+                             const auto& v = f->query_visits();
+                             return node < v.size()
+                                        ? static_cast<double>(v[node])
+                                        : 0.0;
+                           });
 
   // --- Health + convergence gates -------------------------------------------
   const double bound_s = sim::to_seconds(options.staleness_bound > 0
@@ -210,16 +226,11 @@ std::unique_ptr<obs::Timeline> attach_timeline(
         return w.value("probe.staleness.replica.max_s") <= bound_s &&
                w.value("probe.staleness.child.max_s") <= bound_s;
       });
-  const double fn_bound = options.divergence_threshold;
-  timeline->add_health_check(
-      "divergence", [fn_bound](const obs::TimelineWindow& w) {
-        return w.value("probe.divergence.fn_rate") <= fn_bound;
-      });
-  if (options.flat_rate_tolerance > 0) {
-    timeline->require_flat_rate("net.update.bytes",
-                                options.flat_rate_tolerance,
-                                options.flat_rate_floor);
-  }
+  timeline->add_health_check("divergence", [](const obs::TimelineWindow& w) {
+    return w.value("probe.divergence.fn_rate") <= kDivergenceThreshold;
+  });
+  timeline->require_flat_rate("net.update.bytes", kFlatRateTolerance,
+                              kFlatRateFloor);
   return timeline;
 }
 
@@ -228,6 +239,39 @@ void start_timeline(core::Federation& fed, obs::Timeline& timeline) {
     timeline.start(*fed.sharded());
   } else {
     timeline.start(fed.simulator());
+  }
+}
+
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write) {
+  std::ofstream os(path);
+  if (!os) {
+    std::cerr << "warning: cannot write " << path << "\n";
+    return;
+  }
+  write(os);
+  std::cerr << "wrote " << path << "\n";
+}
+
+void write_observability(core::Federation& fed, const obs::Timeline* timeline,
+                         const std::string& trace_out,
+                         const std::string& metrics_out,
+                         const std::string& timeline_out) {
+  if (!trace_out.empty() && fed.trace() != nullptr) {
+    write_file(trace_out, [&](std::ostream& os) {
+      obs::write_chrome_trace(*fed.trace(), os);
+    });
+  }
+  if (!metrics_out.empty()) {
+    write_file(metrics_out, [&](std::ostream& os) {
+      obs::write_prometheus(fed.network().metrics(), os);
+    });
+  }
+  if (!timeline_out.empty() && timeline != nullptr) {
+    write_file(timeline_out + ".csv",
+               [&](std::ostream& os) { timeline->write_csv(os); });
+    write_file(timeline_out + ".jsonl",
+               [&](std::ostream& os) { timeline->write_jsonl(os); });
   }
 }
 

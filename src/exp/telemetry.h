@@ -13,7 +13,10 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <ostream>
+#include <string>
 
 #include "obs/timeline.h"
 #include "sim/time.h"
@@ -24,10 +27,8 @@ class Federation;
 
 namespace roads::exp {
 
-/// Knobs for attach_timeline. Defaults follow the federation's own
-/// protocol constants where a bound has a natural source (staleness
-/// bound <- summary_ttl) and stay cheap where sampling cost scales
-/// with federation size (bounded divergence audit).
+/// Knobs for attach_timeline. The audit's sizes and the health bounds
+/// are constants in telemetry.cpp: every caller used their defaults.
 struct TelemetryOptions {
   /// Window/tick geometry handed to the Timeline.
   obs::TimelineConfig timeline;
@@ -37,35 +38,11 @@ struct TelemetryOptions {
   /// swept — seeing one means sweeping itself is wedged).
   sim::Time staleness_bound = 0;
 
-  /// Health bound on the divergence audit's false-negative rate (a
-  /// false negative loses real resources; false positives only cost
-  /// detour traffic).
-  double divergence_threshold = 0.05;
-
-  /// Sampled ground-truth audit per tick: `audit_queries` fresh random
-  /// queries evaluated against at most `audit_server_sample` alive
-  /// servers (rotating through the federation tick by tick, so every
-  /// server is audited eventually even at 640 nodes).
-  std::size_t audit_queries = 8;
-  std::size_t audit_server_sample = 16;
+  /// Dimensions of the divergence audit's sampled queries.
   std::size_t audit_query_dimensions = 6;
-  double audit_range_length = 0.25;
   /// Seed for the audit's private query stream (never the federation
   /// RNG — the audit must not perturb the run it observes).
   std::uint64_t audit_seed = 0x0b5e;
-
-  /// Convergence flatness gate on the update channel's windowed rate
-  /// (digest-suppressed keepalive waves make this series bursty by
-  /// design, hence the generous default). <= 0 disables the gate.
-  double flat_rate_tolerance = 4.0;
-  /// Rates below this floor (bytes/s) are flat by definition — quiet
-  /// suppressed windows should not divide by near-zero means.
-  double flat_rate_floor = 64.0;
-
-  /// Record per-node series (replica staleness and query visits per
-  /// server) in each window. JSONL-only payload; costs O(nodes) doubles
-  /// per window, so large sweeps may want it off.
-  bool per_node_series = true;
 };
 
 /// Builds a Timeline over `fed`'s registry, registers the windowed
@@ -92,5 +69,20 @@ std::unique_ptr<obs::Timeline> attach_timeline(core::Federation& fed,
 /// sharding its ticks are global events that bound the parallel
 /// windows, so probes read protocol state only between windows.
 void start_timeline(core::Federation& fed, obs::Timeline& timeline);
+
+/// Opens `path` for `write` and reports "wrote <path>" on stderr, or a
+/// warning when the file cannot be opened.
+void write_file(const std::string& path,
+                const std::function<void(std::ostream&)>& write);
+
+/// Writes a run's observability files, skipping each empty path:
+/// `trace_out` as a Chrome trace (open in Perfetto) when `fed` keeps a
+/// trace ring, `metrics_out` as Prometheus text, and
+/// `timeline_out`.csv / `timeline_out`.jsonl when there is a timeline,
+/// each through write_file.
+void write_observability(core::Federation& fed, const obs::Timeline* timeline,
+                         const std::string& trace_out,
+                         const std::string& metrics_out,
+                         const std::string& timeline_out);
 
 }  // namespace roads::exp

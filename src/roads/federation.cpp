@@ -352,9 +352,12 @@ void Federation::note_query_complete(const RoadsClient& client) {
   }
   const auto& r = client.result();
   if (r.complete) {
-    metrics_.counter("roads.query.completed").inc();
-    metrics_.histogram("roads.query.latency_ms")
-        .record(sim::to_ms(r.forwarding_latency()));
+    if (completed_ == nullptr) {
+      completed_ = &metrics_.counter("roads.query.completed");
+      latency_ms_ = &metrics_.histogram("roads.query.latency_ms");
+    }
+    completed_->inc();
+    latency_ms_->record(sim::to_ms(r.forwarding_latency()));
   }
 }
 

@@ -263,6 +263,9 @@ class Federation : public Directory {
   sim::Network network_;
   std::unique_ptr<sim::ShardedSimulator> sharded_;  // threads > 1 only
   CritpathMetrics critpath_;
+  /// note_query_complete's instruments, bound at first write like critpath_.
+  obs::Counter* completed_ = nullptr;
+  obs::Histogram* latency_ms_ = nullptr;
 
   std::vector<std::unique_ptr<RoadsServer>> servers_;  // index == NodeId
   std::vector<std::uint64_t> query_visits_;            // index == NodeId

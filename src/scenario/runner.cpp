@@ -9,12 +9,11 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "exp/deployment.h"
 #include "exp/telemetry.h"
 #include "obs/profile.h"
 #include "obs/timeline.h"
 #include "record/query.h"
-#include "record/schema.h"
-#include "roads/client.h"
 #include "roads/federation.h"
 #include "sim/fault.h"
 #include "sim/time.h"
@@ -22,7 +21,6 @@
 #include "util/rng.h"
 #include "workload/arrival.h"
 #include "workload/query_generator.h"
-#include "workload/record_generator.h"
 
 namespace roads::scenario {
 
@@ -192,12 +190,8 @@ std::string ScenarioOutcome::summary() const {
 ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                              const ScenarioRunOptions& options) {
   const auto wall_start = std::chrono::steady_clock::now();
-  const auto schema = record::Schema::uniform_numeric(spec.attributes);
-  const auto wspec = workload::WorkloadSpec::paper_default(
-      spec.attributes, spec.records_per_node);
 
   core::FederationParams params;
-  params.schema = schema;
   params.seed = spec.seed;
   params.config.max_children = spec.max_children;
   params.config.summary.histogram_buckets = 64;
@@ -212,20 +206,12 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
   params.config.query_queue_limit = spec.query_queue_limit;
   params.threads = options.threads;
   params.profile = !options.profile_out.empty();
-  core::Federation fed(std::move(params));
-  fed.add_servers(spec.nodes);
-
-  workload::RecordGenerator generator(schema, wspec, spec.seed);
-  generator.anchor_by_balanced_tree(spec.nodes, spec.max_children);
-  for (std::size_t n = 0; n < spec.nodes; ++n) {
-    const auto node = static_cast<sim::NodeId>(n);
-    auto owner = fed.add_owner(node, core::ExportMode::kDetailedRecords);
-    for (auto& r : generator.records_for_node(static_cast<std::uint32_t>(n),
-                                              owner->id())) {
-      owner->store().insert(std::move(r));
-    }
-    fed.server(node).attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
+  const exp::Deployment dep(
+      std::move(params), spec.nodes,
+      workload::WorkloadSpec::paper_default(spec.attributes,
+                                            spec.records_per_node));
+  const auto federation = dep.build_federation();
+  auto& fed = *federation;
   fed.start();
 
   // Telemetry rides manual ticks only — never timeline->start(): a
@@ -388,7 +374,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
     // Pre-generate this phase's query stream: background load first
     // (no hotspot), then the steered flash-crowd burst.
     workload::QueryGenerator qgen(
-        schema, wspec, spec.seed ^ (0x9e3700ull + phase_index));
+        dep.schema(), dep.spec(), spec.seed ^ (0x9e3700ull + phase_index));
     std::vector<record::Query> queries;
     std::vector<TimedAction> actions;
     const auto draw_query_time = [&] {
@@ -446,17 +432,17 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
     }
     std::sort(actions.begin(), actions.end(), action_order);
 
-    // Pre-draw the open-loop schedule and plant every arrival as an
-    // engine event (the exact-global-order micro-stepping below makes
-    // this bit-identical across thread counts, like exp::run_roads_load).
-    std::vector<std::shared_ptr<core::RoadsClient>> open_clients;
-    std::vector<record::Query> open_population;
+    // Pre-draw the open-loop schedule. The drive plants it after the
+    // closed-loop actions, of which spec parsing leaves an open-loop
+    // phase none, so it starts at the phase start.
+    std::vector<exp::Arrival> open_arrivals;
     if (phase.open_loop) {
       const auto& ol = *phase.open_loop;
       const auto dims =
           std::min(ol.dimensions, qgen.dimension_order().size());
+      std::vector<record::Query> population;
       for (std::size_t q = 0; q < ol.population; ++q) {
-        open_population.push_back(qgen.generate(dims, ol.range_length));
+        population.push_back(qgen.generate(dims, ol.range_length));
       }
       workload::ArrivalSpec aspec;
       aspec.process = ol.process == "selfsimilar"
@@ -465,24 +451,20 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
       aspec.rate_qps = ol.rate_qps;
       aspec.pareto_alpha = ol.pareto_alpha;
       util::Rng arrival_rng(spec.seed ^ (0xa4410000ull + phase_index));
-      auto arrivals = workload::generate_arrivals(aspec, ol.count,
-                                                  arrival_rng);
+      const auto arrivals =
+          workload::generate_arrivals(aspec, ol.count, arrival_rng);
       // Clamp the tail inside the phase interior so the drain (and the
       // boundary heal) cannot be outrun by late arrivals.
       const sim::Time interior =
           std::max<sim::Time>(0, from_seconds(phase.duration_s - 3.0));
-      workload::ZipfSampler zipf(open_population.size(), ol.zipf_s);
-      open_clients.resize(arrivals.size());
-      for (std::size_t i = 0; i < arrivals.size(); ++i) {
+      workload::ZipfSampler zipf(population.size(), ol.zipf_s);
+      for (const auto at : arrivals) {
         const auto rank = zipf.sample(rng);
         const auto start = pick_alive(
             fed, rng, /*avoid=*/static_cast<sim::NodeId>(spec.nodes));
-        const auto offset = sim::seconds(1) + std::min(arrivals[i], interior);
-        fed.network().simulator().schedule_after(
-            offset, [&fed, &open_clients, i,
-                     query = open_population[rank], start] {
-              open_clients[i] = fed.issue_query(query, start);
-            });
+        open_arrivals.push_back(
+            {sim::seconds(1) + std::min(at, interior), population[rank],
+             start});
       }
     }
 
@@ -549,29 +531,10 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
       now = fed.simulator().now();
     }
     if (phase.open_loop) {
-      // Exact global micro-stepping until every client is answered —
-      // advance()'s parallel windows must not run with clients in
-      // flight. Arrivals are clamped inside the phase, so the drain
-      // normally finishes before phase_end; a backlogged queue may
-      // push completion slightly past it (deterministically).
-      const auto all_done = [&open_clients] {
-        for (const auto& c : open_clients) {
-          if (!c || !c->done()) return false;
-        }
-        return true;
-      };
-      std::size_t drain_guard = 0;
-      while (!all_done()) {
-        if (fed.step(1024) == 0) break;
-        if (++drain_guard > 500'000) {
-          throw std::runtime_error("scenario: open-loop phase '" +
-                                   phase.name + "' did not drain");
-        }
-      }
-      now = fed.simulator().now();
-      for (const auto& c : open_clients) {
-        if (!c) continue;
-        fed.note_query_complete(*c);
+      // Arrivals are clamped inside the phase, so the drive normally
+      // finishes before phase_end; a backlogged queue may push
+      // completion slightly past it (deterministically).
+      for (const auto& c : exp::drive_open_loop(fed, open_arrivals)) {
         const auto& r = c->result();
         ++result.queries_issued;
         result.queries_shed += r.sheds;
@@ -582,6 +545,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
           latency_sum_ms += sim::to_ms(r.forwarding_latency());
         }
       }
+      now = fed.simulator().now();
     }
     if (phase_end > now) {
       fed.advance(phase_end - now);
@@ -643,12 +607,7 @@ ScenarioOutcome run_scenario(const ScenarioSpec& spec,
                        std::chrono::steady_clock::now() - wall_start)
                        .count();
 
-  if (!options.timeline_out.empty()) {
-    std::ofstream csv(options.timeline_out + ".csv");
-    if (csv) timeline->write_csv(csv);
-    std::ofstream jsonl(options.timeline_out + ".jsonl");
-    if (jsonl) timeline->write_jsonl(jsonl);
-  }
+  exp::write_observability(fed, timeline.get(), "", "", options.timeline_out);
   if (!options.profile_out.empty() && !profile_slices.empty()) {
     std::ofstream os(options.profile_out);
     if (os) {

@@ -1,7 +1,7 @@
 // Scenario runner: executes a ScenarioSpec against a live federation.
 //
-// The runner builds the federation the spec describes (records via
-// workload::RecordGenerator, telemetry via exp::attach_timeline),
+// The runner builds the federation the spec describes (the deployment
+// via exp::Deployment, telemetry via exp::attach_timeline),
 // stabilizes it, then walks the phase script. Each phase compiles its
 // stresses down to one phase-scoped sim::FaultPlan (churn, flapping
 // and partitions become crash/partition windows clamped inside the

@@ -203,14 +203,12 @@ TEST(Chaos, RestartDuringPartitionRemergesAfterHeal) {
     // lowest-id alive peer, so node 0 must stay on the majority side
     // for the mid-partition join to fail.
     const auto topo = fed.topology();
-    sim::NodeId victim = 0;
     std::vector<sim::NodeId> group;
     for (sim::NodeId i = 1; i < 16; ++i) {
       if (i == topo.root() || topo.children(i).empty()) continue;
       auto subtree = topo.subtree(i);
       if (std::find(subtree.begin(), subtree.end(), sim::NodeId{0}) ==
           subtree.end()) {
-        victim = i;
         group = std::move(subtree);
         break;
       }

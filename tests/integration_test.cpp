@@ -4,9 +4,12 @@
 // same workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "exp/deployment.h"
 #include "exp/experiment.h"
 #include "exp/load.h"
 #include "hierarchy/topology.h"
@@ -14,7 +17,6 @@
 #include "sword/sword_system.h"
 #include "util/stats.h"
 #include "workload/query_generator.h"
-#include "workload/record_generator.h"
 
 namespace roads {
 namespace {
@@ -63,44 +65,90 @@ TEST(Integration, RoadsAndSwordAgreeOnMatchCounts) {
 }
 
 TEST(Integration, RoadsFindsExactlyTheBruteForceMatches) {
-  const auto schema = record::Schema::uniform_numeric(8);
-  const auto spec = workload::WorkloadSpec::paper_default(8, 100);
-  workload::RecordGenerator gen(schema, spec, 21);
-  gen.anchor_by_balanced_tree(24, 4);
-
   core::FederationParams params;
-  params.schema = schema;
   params.seed = 21;
   params.config.max_children = 4;
   params.config.summary.histogram_buckets = 200;
-  core::Federation fed(std::move(params));
-  fed.add_servers(24);
-  std::vector<record::ResourceRecord> all;
-  for (std::size_t n = 0; n < 24; ++n) {
-    auto owner = fed.add_owner(static_cast<sim::NodeId>(n),
-                               core::ExportMode::kDetailedRecords);
-    for (auto& r : gen.records_for_node(static_cast<std::uint32_t>(n),
-                                        owner->id())) {
-      all.push_back(r);
-      owner->store().insert(std::move(r));
-    }
-    fed.server(static_cast<sim::NodeId>(n))
-        .attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
-  fed.start();
-  fed.stabilize();
+  const exp::Deployment dep(std::move(params), 24,
+                            workload::WorkloadSpec::paper_default(8, 100));
+  const auto fed = dep.build_federation();
+  fed->start();
+  fed->stabilize();
 
-  workload::QueryGenerator qgen(schema, spec, 22);
+  workload::QueryGenerator qgen(dep.schema(), dep.spec(), 22);
   for (int i = 0; i < 40; ++i) {
     const auto q = qgen.generate(4, 0.3);
     const auto outcome =
-        fed.run_query(q, static_cast<sim::NodeId>(i % 24));
+        fed->run_query(q, static_cast<sim::NodeId>(i % 24));
     ASSERT_TRUE(outcome.complete);
     std::size_t expected = 0;
-    for (const auto& r : all) {
-      if (q.matches(r)) ++expected;
+    for (std::uint32_t n = 0; n < 24; ++n) {
+      for (const auto& r : dep.generator().records_for_node(n, n + 1)) {
+        if (q.matches(r)) ++expected;
+      }
     }
     EXPECT_EQ(outcome.matching_records, expected) << "query " << i;
+  }
+}
+
+// --- The deployment every driver measures (exp/deployment.h) ---
+
+/// A store's records ordered by id.
+std::vector<record::ResourceRecord> by_id(const store::RecordStore& store) {
+  auto records = store.snapshot();
+  std::sort(records.begin(), records.end(),
+            [](const auto& a, const auto& b) { return a.id() < b.id(); });
+  return records;
+}
+
+// Each server's store holds exactly the records the generator gives its
+// node, ids and values, under owner ids 1..n in server order, and the
+// sharded engine builds the same deployment.
+TEST(Deployment, EachServerHoldsItsNodesGeneratedRecords) {
+  for (const std::size_t threads : {1u, 4u}) {
+    core::FederationParams params;
+    params.seed = 5;
+    params.config.max_children = 4;
+    params.threads = threads;
+    const exp::Deployment dep(std::move(params), 24,
+                              workload::WorkloadSpec::paper_default(6, 30));
+    const auto fed = dep.build_federation();
+    ASSERT_EQ(fed->server_count(), 24u);
+    for (std::uint32_t n = 0; n < 24; ++n) {
+      const auto owner = static_cast<record::OwnerId>(n + 1);
+      const auto want = dep.generator().records_for_node(n, owner);
+      const auto held = by_id(fed->server(n).local_store());
+      ASSERT_EQ(held.size(), want.size()) << "threads " << threads
+                                          << " node " << n;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(held[i].id(), want[i].id()) << "node " << n;
+        EXPECT_EQ(held[i].owner(), owner) << "node " << n;
+        EXPECT_EQ(held[i].values(), want[i].values()) << "node " << n;
+      }
+    }
+  }
+}
+
+// The baselines load their records from the drivers' deployments under
+// their own owner ids (n + 1 in run_sword_once and run_central_load):
+// the same record ids the federation's stores hold.
+TEST(Deployment, BaselinesGetTheFederationsRecordIds) {
+  auto exp_cfg = quick_config(24);
+  exp_cfg.records_per_node = 30;
+  exp::LoadConfig load_cfg;
+  load_cfg.nodes = 24;
+  load_cfg.records_per_node = 30;
+  for (const auto& dep : {exp::deployment_for(exp_cfg, exp_cfg.seed),
+                          exp::deployment_for(load_cfg)}) {
+    const auto fed = dep.build_federation();
+    for (std::uint32_t n = 0; n < 24; ++n) {
+      const auto baseline = dep.generator().records_for_node(n, n + 1);
+      const auto held = by_id(fed->server(n).local_store());
+      ASSERT_EQ(held.size(), baseline.size()) << "node " << n;
+      for (std::size_t i = 0; i < held.size(); ++i) {
+        EXPECT_EQ(held[i].id(), baseline[i].id()) << "node " << n;
+      }
+    }
   }
 }
 

@@ -604,7 +604,9 @@ TEST(ScopedTimer, ThreadCpuClockMonotoneAndRecordsNonNegative) {
   const double t0 = clock();
   // Burn a little CPU so the thread clock must advance.
   volatile double sink = 0.0;
-  for (int i = 0; i < 200000; ++i) sink += static_cast<double>(i) * 1e-9;
+  for (int i = 0; i < 200000; ++i) {
+    sink = sink + static_cast<double>(i) * 1e-9;
+  }
   const double t1 = clock();
   EXPECT_GE(t1, t0);
   EXPECT_GT(t1, 0.0);
@@ -612,7 +614,9 @@ TEST(ScopedTimer, ThreadCpuClockMonotoneAndRecordsNonNegative) {
   obs::Histogram h(obs::exponential_buckets(0.5, 2.0, 14));
   {
     obs::ScopedTimer timer(h, obs::ScopedTimer::thread_cpu_clock());
-    for (int i = 0; i < 100000; ++i) sink += static_cast<double>(i) * 1e-9;
+    for (int i = 0; i < 100000; ++i) {
+      sink = sink + static_cast<double>(i) * 1e-9;
+    }
   }
   ASSERT_EQ(h.count(), 1u);
   EXPECT_GE(h.max(), 0.0);

@@ -6,8 +6,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <tuple>
 
+#include "exp/deployment.h"
 #include "exp/experiment.h"
 #include "overlay/replica_set.h"
 #include "record/query.h"
@@ -15,7 +17,6 @@
 #include "sim/time.h"
 #include "util/rng.h"
 #include "workload/query_generator.h"
-#include "workload/record_generator.h"
 
 namespace roads {
 namespace {
@@ -23,57 +24,43 @@ namespace {
 // (nodes, degree, seed)
 using Shape = std::tuple<std::size_t, std::size_t, std::uint64_t>;
 
+/// Ground truth from the deployment's generator: every record any
+/// server's owner exports that matches `q`.
+std::size_t brute_force(const exp::Deployment& dep, const record::Query& q) {
+  std::size_t count = 0;
+  for (std::size_t n = 0; n < dep.nodes(); ++n) {
+    for (const auto& r : dep.generator().records_for_node(
+             static_cast<std::uint32_t>(n),
+             static_cast<record::OwnerId>(n + 1))) {
+      if (q.matches(r)) ++count;
+    }
+  }
+  return count;
+}
+
 class FederationProperty : public ::testing::TestWithParam<Shape> {
  protected:
   void Build() {
     const auto [nodes, degree, seed] = GetParam();
-    nodes_ = nodes;
-    schema_ = record::Schema::uniform_numeric(6);
-    spec_ = workload::WorkloadSpec::paper_default(6, 40);
-    workload::RecordGenerator gen(schema_, spec_, seed);
-    gen.anchor_by_balanced_tree(nodes, degree);
-
     core::FederationParams params;
-    params.schema = schema_;
     params.seed = seed;
     params.config.max_children = degree;
     params.config.summary.histogram_buckets = 60;
-    fed_ = std::make_unique<core::Federation>(std::move(params));
-    fed_->add_servers(nodes);
-    for (std::size_t n = 0; n < nodes; ++n) {
-      auto owner = fed_->add_owner(static_cast<sim::NodeId>(n),
-                                   core::ExportMode::kDetailedRecords);
-      for (auto& r : gen.records_for_node(static_cast<std::uint32_t>(n),
-                                          owner->id())) {
-        all_.push_back(r);
-        owner->store().insert(std::move(r));
-      }
-      fed_->server(static_cast<sim::NodeId>(n))
-          .attach_owner(owner, core::ExportMode::kDetailedRecords);
-    }
+    dep_.emplace(std::move(params), nodes,
+                 workload::WorkloadSpec::paper_default(6, 40));
+    fed_ = dep_->build_federation();
     fed_->start();
     fed_->stabilize();
   }
 
-  std::size_t brute_force(const record::Query& q) const {
-    std::size_t count = 0;
-    for (const auto& r : all_) {
-      if (q.matches(r)) ++count;
-    }
-    return count;
-  }
-
-  std::size_t nodes_ = 0;
-  record::Schema schema_;
-  workload::WorkloadSpec spec_;
+  std::optional<exp::Deployment> dep_;
   std::unique_ptr<core::Federation> fed_;
-  std::vector<record::ResourceRecord> all_;
 };
 
 TEST_P(FederationProperty, OverlayStateMatchesComputedReplicaSets) {
   Build();
   const auto topo = fed_->topology();
-  for (sim::NodeId i = 0; i < nodes_; ++i) {
+  for (sim::NodeId i = 0; i < dep_->nodes(); ++i) {
     const auto expected = overlay::replica_set(topo, i);
     EXPECT_EQ(fed_->server(i).replicas().size(), expected.size())
         << "node " << i;
@@ -87,7 +74,7 @@ TEST_P(FederationProperty, ExactMatchesFromRandomStartServers) {
   Build();
   const auto [nodes, degree, seed] = GetParam();
   (void)degree;
-  workload::QueryGenerator qgen(schema_, spec_, seed ^ 0xabc);
+  workload::QueryGenerator qgen(dep_->schema(), dep_->spec(), seed ^ 0xabc);
   util::Rng pick(seed ^ 0xdef);
   for (int trial = 0; trial < 25; ++trial) {
     const auto q = qgen.generate(4, 0.3);
@@ -95,17 +82,17 @@ TEST_P(FederationProperty, ExactMatchesFromRandomStartServers) {
         pick.uniform_int(0, static_cast<std::int64_t>(nodes) - 1));
     const auto outcome = fed_->run_query(q, start);
     ASSERT_TRUE(outcome.complete);
-    EXPECT_EQ(outcome.matching_records, brute_force(q))
+    EXPECT_EQ(outcome.matching_records, brute_force(*dep_, q))
         << "trial " << trial << " start " << start;
   }
 }
 
 TEST_P(FederationProperty, ContactsNeverExceedServerCount) {
   Build();
-  workload::QueryGenerator qgen(schema_, spec_, 99);
+  workload::QueryGenerator qgen(dep_->schema(), dep_->spec(), 99);
   for (int trial = 0; trial < 10; ++trial) {
     const auto outcome = fed_->run_query(qgen.generate(2, 0.5), 0);
-    EXPECT_LE(outcome.servers_contacted, nodes_);
+    EXPECT_LE(outcome.servers_contacted, dep_->nodes());
   }
 }
 
@@ -151,33 +138,17 @@ class CacheSoundnessSweep : public ::testing::TestWithParam<std::uint64_t> {
   static constexpr int kBuckets = 60;
 
   void Build(bool overlay = true) {
-    const auto seed = GetParam();
-    schema_ = record::Schema::uniform_numeric(6);
-    spec_ = workload::WorkloadSpec::paper_default(6, 30);
-    workload::RecordGenerator gen(schema_, spec_, seed);
-    gen.anchor_by_balanced_tree(kNodes, kDegree);
-
     core::FederationParams params;
-    params.schema = schema_;
-    params.seed = seed;
+    params.seed = GetParam();
     params.config.max_children = kDegree;
     params.config.summary.histogram_buckets = kBuckets;
     params.config.summary_refresh_period = sim::seconds(50);
     params.config.summary_ttl = sim::seconds(200);
     params.config.query_cache_enabled = true;
     params.config.overlay_enabled = overlay;
-    fed_ = std::make_unique<core::Federation>(std::move(params));
-    fed_->add_servers(kNodes);
-    for (std::size_t n = 0; n < kNodes; ++n) {
-      auto owner = fed_->add_owner(static_cast<sim::NodeId>(n),
-                                   core::ExportMode::kDetailedRecords);
-      for (auto& r : gen.records_for_node(static_cast<std::uint32_t>(n),
-                                          owner->id())) {
-        owner->store().insert(std::move(r));
-      }
-      fed_->server(static_cast<sim::NodeId>(n))
-          .attach_owner(owner, core::ExportMode::kDetailedRecords);
-    }
+    dep_.emplace(std::move(params), kNodes,
+                 workload::WorkloadSpec::paper_default(6, 30));
+    fed_ = dep_->build_federation();
     fed_->start();
     fed_->stabilize();
   }
@@ -215,7 +186,7 @@ class CacheSoundnessSweep : public ::testing::TestWithParam<std::uint64_t> {
   /// covers every record).
   Spot unoccupied_spot() const {
     const auto branch = fed_->server(fed_->topology().root()).branch_summary();
-    for (std::size_t a = 0; a < schema_.size(); ++a) {
+    for (std::size_t a = 0; a < dep_->schema().size(); ++a) {
       for (int b = 0; b < kBuckets; ++b) {
         const Spot spot{a, (b + 0.5) / kBuckets};
         if (!branch->matches(spot.query())) return spot;
@@ -242,15 +213,14 @@ class CacheSoundnessSweep : public ::testing::TestWithParam<std::uint64_t> {
     return outcome;
   }
 
-  record::Schema schema_;
-  workload::WorkloadSpec spec_;
+  std::optional<exp::Deployment> dep_;
   std::unique_ptr<core::Federation> fed_;
 };
 
 TEST_P(CacheSoundnessSweep, HitIsByteIdenticalToColdEvaluation) {
   Build();
   const auto seed = GetParam();
-  workload::QueryGenerator qgen(schema_, spec_, seed ^ 0xcac4e);
+  workload::QueryGenerator qgen(dep_->schema(), dep_->spec(), seed ^ 0xcac4e);
   util::Rng pick(seed ^ 0x5eed);
   for (int trial = 0; trial < 6; ++trial) {
     const auto q = qgen.generate(3, 0.35);
@@ -393,44 +363,24 @@ class BucketSweep : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(BucketSweep, CoarseSummariesStayConservative) {
   const auto buckets = GetParam();
-  const auto schema = record::Schema::uniform_numeric(4);
-  workload::RecordGenerator gen(
-      schema, workload::WorkloadSpec::paper_default(4, 50), 17);
-
   core::FederationParams params;
-  params.schema = schema;
   params.seed = 17;
   params.config.max_children = 3;
   params.config.summary.histogram_buckets = buckets;
-  core::Federation fed(std::move(params));
-  fed.add_servers(12);
-  std::vector<record::ResourceRecord> all;
-  for (std::size_t n = 0; n < 12; ++n) {
-    auto owner = fed.add_owner(static_cast<sim::NodeId>(n),
-                               core::ExportMode::kDetailedRecords);
-    for (auto& r : gen.records_for_node(static_cast<std::uint32_t>(n),
-                                        owner->id())) {
-      all.push_back(r);
-      owner->store().insert(std::move(r));
-    }
-    fed.server(static_cast<sim::NodeId>(n))
-        .attach_owner(owner, core::ExportMode::kDetailedRecords);
-  }
-  fed.start();
-  fed.stabilize();
+  const exp::Deployment dep(std::move(params), 12,
+                            workload::WorkloadSpec::paper_default(4, 50));
+  const auto fed = dep.build_federation();
+  fed->start();
+  fed->stabilize();
 
-  workload::QueryGenerator qgen(
-      schema, workload::WorkloadSpec::paper_default(4, 50), 18);
+  workload::QueryGenerator qgen(dep.schema(), dep.spec(), 18);
   for (int trial = 0; trial < 20; ++trial) {
     const auto q = qgen.generate(3, 0.25);
-    std::size_t expected = 0;
-    for (const auto& r : all) {
-      if (q.matches(r)) ++expected;
-    }
-    const auto outcome = fed.run_query(q, static_cast<sim::NodeId>(trial % 12));
+    const auto outcome =
+        fed->run_query(q, static_cast<sim::NodeId>(trial % 12));
     // Coarser buckets may contact more servers (false positives) but
     // can never lose a match.
-    EXPECT_EQ(outcome.matching_records, expected)
+    EXPECT_EQ(outcome.matching_records, brute_force(dep, q))
         << "buckets=" << buckets << " trial=" << trial;
   }
 }

@@ -118,7 +118,9 @@ TEST(ScenarioSpec, TypeAndRangeErrorsNameTheKey) {
 TEST(ScenarioSpec, DefaultsSurviveRoundTrip) {
   ScenarioSpec spec;
   spec.name = "defaults";
-  spec.phases.push_back(PhaseSpec{.name = "only"});
+  PhaseSpec only;
+  only.name = "only";
+  spec.phases.push_back(only);
   const auto text = spec.to_json();
   const auto reparsed = ScenarioSpec::from_json_text(text);
   EXPECT_EQ(text, reparsed.to_json());
