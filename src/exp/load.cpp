@@ -86,15 +86,13 @@ void fold_outcome(util::Fnv1a& fp, bool complete, std::size_t sheds,
   fp.add(static_cast<std::uint64_t>(latency_us));
 }
 
-/// Fills `out`'s fingerprint, latency quantiles over the served
-/// queries, offered rate over the schedule's span, and goodput over the
-/// span from `t0`, when the schedule starts, to `last_done`.
+/// Fills `out`'s fingerprint, latency p99 over the served queries,
+/// offered rate over the schedule's span, and goodput over the span
+/// from `t0`, when the schedule starts, to `last_done`.
 void fold_latencies(LoadMetrics& out, const Plan& plan, const util::Fnv1a& fp,
                     const util::Samples& served, sim::Time t0,
                     sim::Time last_done) {
   out.fingerprint = fp.value();
-  out.mean_ms = served.mean();
-  out.p50_ms = served.percentile(50.0);
   out.p99_ms = served.percentile(99.0);
   const auto offered_span =
       plan.arrivals.empty() ? 0 : plan.arrivals.back().delay;
@@ -103,8 +101,8 @@ void fold_latencies(LoadMetrics& out, const Plan& plan, const util::Fnv1a& fp,
         static_cast<double>(out.issued) / sim::to_seconds(offered_span);
   }
   if (last_done > t0) {
-    out.span_s = sim::to_seconds(last_done - t0);
-    out.goodput_qps = static_cast<double>(served.count()) / out.span_s;
+    out.goodput_qps = static_cast<double>(served.count()) /
+                      sim::to_seconds(last_done - t0);
   }
 }
 
@@ -139,18 +137,16 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
   // batch: ts is minutes, a load sweep is seconds.
   fed.set_refresh_paused(true);
 
-  // Cache meters accumulated during stabilization (invalidation marks
-  // from summary pushes) are not part of the measurement.
+  // Cache meters accumulated during stabilization are not part of the
+  // measurement.
   auto& hit_ctr = fed.metrics().counter("roads.query.cache.hit");
   auto& miss_ctr = fed.metrics().counter("roads.query.cache.miss");
   auto& neg_ctr = fed.metrics().counter("roads.query.cache.neg_hit");
   auto& evict_ctr = fed.metrics().counter("roads.query.cache.evicted");
-  auto& inval_ctr = fed.metrics().counter("roads.query.cache.invalidate");
   const auto hits0 = hit_ctr.value();
   const auto misses0 = miss_ctr.value();
   const auto negs0 = neg_ctr.value();
   const auto evicted0 = evict_ctr.value();
-  const auto inval0 = inval_ctr.value();
 
   const auto t0 = fed.network().simulator().now();
   const auto clients = drive_open_loop(fed, plan.arrivals);
@@ -177,13 +173,12 @@ LoadMetrics run_roads_load(const LoadConfig& config) {
   }
   fold_latencies(out, plan, fp, served, t0, last_done);
   out.cache_hits = hit_ctr.value() - hits0;
-  out.cache_misses = miss_ctr.value() - misses0;
+  const auto misses = miss_ctr.value() - misses0;
   out.neg_hits = neg_ctr.value() - negs0;
   out.evicted = evict_ctr.value() - evicted0;
-  out.invalidates = inval_ctr.value() - inval0;
-  if (out.cache_hits + out.cache_misses > 0) {
+  if (out.cache_hits + misses > 0) {
     out.hit_rate = static_cast<double>(out.cache_hits) /
-                   static_cast<double>(out.cache_hits + out.cache_misses);
+                   static_cast<double>(out.cache_hits + misses);
   }
   return out;
 }

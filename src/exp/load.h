@@ -63,19 +63,13 @@ struct LoadMetrics {
   /// Served (completed minus rejected) per second of measurement span —
   /// the sustainable-throughput metric.
   double goodput_qps = 0.0;
-  /// Forwarding-latency quantiles over SERVED queries (ms).
-  double mean_ms = 0.0;
-  double p50_ms = 0.0;
+  /// Forwarding-latency p99 over SERVED queries (ms).
   double p99_ms = 0.0;
   /// Result-cache meters (ROADS side; 0 when the cache is off).
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
   std::uint64_t neg_hits = 0;
   std::uint64_t evicted = 0;
-  std::uint64_t invalidates = 0;
   double hit_rate = 0.0;
-  /// First arrival to last served completion, sim seconds.
-  double span_s = 0.0;
   /// FNV fold of every client's outcome (completion, sheds, latency,
   /// match count) in issue order — equal fingerprints mean the whole
   /// serving history replayed bit-identically (thread-count gate).

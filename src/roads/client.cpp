@@ -10,6 +10,15 @@ namespace {
 /// How long to wait for a contacted server before writing it off as
 /// failed; keeps queries from hanging on dead servers during churn.
 constexpr sim::Time kReplyTimeout = 10 * sim::kSecond;
+
+/// Inserts `id` into the ascending `ids`; false when it was already
+/// there.
+bool insert_sorted(std::vector<sim::NodeId>& ids, sim::NodeId id) {
+  const auto it = std::lower_bound(ids.begin(), ids.end(), id);
+  if (it != ids.end() && *it == id) return false;
+  ids.insert(it, id);
+  return true;
+}
 }  // namespace
 
 RoadsClient::RoadsClient(sim::Network& network, Directory& directory,
@@ -62,9 +71,9 @@ void RoadsClient::start(sim::NodeId start_server) {
 }
 
 void RoadsClient::visit(sim::NodeId target, QueryMode mode) {
-  if (!visited_.insert(target).second) return;  // already contacted
+  if (!insert_sorted(visited_, target)) return;  // already contacted
   ++outstanding_replies_;
-  // Covers the reply-timeout timer too: start() issues the first visit
+  // Covers the deadline event too: start() issues the first visit
   // outside any handler, where there is no category to inherit.
   obs::ScopedProfCategory prof_tag(obs::ProfCategory::kQueryForward);
   auto self = shared_from_this();
@@ -72,21 +81,33 @@ void RoadsClient::visit(sim::NodeId target, QueryMode mode) {
                 [this, self, target, mode] {
                   directory_.query_target(target).handle_query(self, mode);
                 });
-  network_.simulator().schedule_after(
-      kReplyTimeout, [self, target] { self->on_reply_timeout(target); });
+  deadlines_.push_back({network_.simulator().now() + kReplyTimeout, target});
+  // Every earlier deadline is handled, so no deadline event is pending.
+  if (next_deadline_ + 1 == deadlines_.size()) arm_deadline();
 }
 
-void RoadsClient::on_reply_timeout(sim::NodeId server) {
-  if (result_.complete || replied_.count(server)) return;
-  // The server never answered (failed or unreachable); stop waiting.
-  replied_.insert(server);
-  if (outstanding_replies_ > 0) --outstanding_replies_;
-  check_complete();
+void RoadsClient::arm_deadline() {
+  network_.simulator().schedule_at(
+      deadlines_[next_deadline_].at, [client = weak_from_this()] {
+        if (const auto self = client.lock()) self->on_deadline();
+      });
+}
+
+void RoadsClient::on_deadline() {
+  const auto now = network_.simulator().now();
+  while (!result_.complete && next_deadline_ < deadlines_.size() &&
+         deadlines_[next_deadline_].at <= now) {
+    const auto server = deadlines_[next_deadline_++].server;
+    if (!insert_sorted(replied_, server)) continue;  // it answered in time
+    // The server never answered (failed or unreachable); stop waiting.
+    if (outstanding_replies_ > 0) --outstanding_replies_;
+    check_complete();
+  }
+  if (!result_.complete && next_deadline_ < deadlines_.size()) arm_deadline();
 }
 
 void RoadsClient::on_overload(sim::NodeId server) {
-  if (result_.complete || replied_.count(server)) return;
-  replied_.insert(server);
+  if (result_.complete || !insert_sorted(replied_, server)) return;
   ++result_.sheds;
   if (server == start_server_) result_.rejected = true;
   if (outstanding_replies_ > 0) --outstanding_replies_;
@@ -105,11 +126,11 @@ void RoadsClient::on_reply(
     sim::NodeId server,
     const std::vector<std::pair<sim::NodeId, QueryMode>>& targets,
     std::size_t local_matches, bool results_pending) {
-  if (!replied_.insert(server).second) return;  // duplicate or timed out
-  if (outstanding_replies_ == 0) return;        // stale reply after completion
+  if (!insert_sorted(replied_, server)) return;  // duplicate or timed out
+  if (outstanding_replies_ == 0) return;         // stale reply after completion
   --outstanding_replies_;
   result_.matching_records += local_matches;
-  if (results_pending) results_expected_.insert(server);
+  if (results_pending) insert_sorted(results_expected_, server);
   if (!targets.empty()) {
     trace_span(obs::TraceKind::kQueryRedirect, server,
                static_cast<double>(targets.size()));
@@ -120,7 +141,7 @@ void RoadsClient::on_reply(
 
 void RoadsClient::on_results(
     sim::NodeId server, const std::vector<record::ResourceRecord>& records) {
-  if (!results_arrived_.insert(server).second) return;  // duplicate batch
+  if (!insert_sorted(results_arrived_, server)) return;  // duplicate batch
   result_.last_result_at =
       std::max(result_.last_result_at, network_.simulator().now());
   trace_span(obs::TraceKind::kQueryResult, server,

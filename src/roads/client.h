@@ -5,11 +5,23 @@
 // at every server it contacts — query latency is the time the query
 // reached the last server — plus, in result-collection mode (Fig. 11),
 // the time the final record batch arrived back.
+//
+// The client writes off a contacted server that has not answered
+// kReplyTimeout (10 s) after its query was sent. Those deadlines are
+// kept in send order, which is deadline order, and one engine event
+// per client waits for the earliest one not yet handled.
+//
+// Lifetime: the caller and the client's own in-flight messages (the
+// query sends and the servers' replies capture it by shared_ptr) keep
+// a client alive, and nothing else does. The deadline event holds it
+// by weak_ptr, so a finished client is freed as soon as its caller
+// drops it, and a freed client's deadline does nothing. A caller that
+// drops an unfinished client gives up its result: once its messages
+// are gone, no deadline writes its silent servers off.
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -73,8 +85,8 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
 
   bool done() const { return result_.complete; }
   const Result& result() const { return result_; }
-  /// Every server/owner node this query contacted.
-  const std::set<sim::NodeId>& visited() const { return visited_; }
+  /// Every server/owner node this query contacted, ascending.
+  const std::vector<sim::NodeId>& visited() const { return visited_; }
   /// Root span id of this query's causal tree — every event and span
   /// of the query carries it as `trace` (0 when the network has no
   /// trace buffer attached).
@@ -103,8 +115,18 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   void on_overload(sim::NodeId server);
 
  private:
+  /// When the client writes `server` off if it has not answered.
+  struct ReplyDeadline {
+    sim::Time at;
+    sim::NodeId server;
+  };
+
   void visit(sim::NodeId target, QueryMode mode);
-  void on_reply_timeout(sim::NodeId server);
+  /// Schedules the deadline event at the earliest unhandled deadline.
+  void arm_deadline();
+  /// Writes off every passed hop that has not replied, in send order,
+  /// then re-arms at the next deadline unless the client completed.
+  void on_deadline();
   void check_complete();
   void trace_span(obs::TraceKind kind, sim::NodeId node, double value = 0.0);
 
@@ -116,11 +138,16 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   bool collect_results_;
 
   unsigned scope_ = kUnlimitedScope;
-  std::set<sim::NodeId> visited_;
-  std::set<sim::NodeId> replied_;
+  // Ascending node ids; a query touches tens of servers.
+  std::vector<sim::NodeId> visited_;
+  std::vector<sim::NodeId> replied_;
   std::size_t outstanding_replies_ = 0;
-  std::set<sim::NodeId> results_expected_;
-  std::set<sim::NodeId> results_arrived_;
+  std::vector<sim::NodeId> results_expected_;
+  std::vector<sim::NodeId> results_arrived_;
+  // Send order, so ascending `at`. Until the client completes, a
+  // deadline event is pending exactly while one is unhandled.
+  std::vector<ReplyDeadline> deadlines_;
+  std::size_t next_deadline_ = 0;  // first one not yet handled
   bool started_ = false;
   sim::NodeId start_server_ = 0;
   std::uint64_t span_ = 0;

@@ -279,7 +279,7 @@ QueryOutcome Federation::run_query_scoped(const record::Query& query,
       network_.meter(sim::Channel::kResult).bytes - result_bytes_before;
   out.servers_contacted = r.servers_contacted;
   out.matching_records = r.matching_records;
-  out.contacted.assign(client->visited().begin(), client->visited().end());
+  out.contacted = client->visited();
   out.records = r.records;
   out.sheds = r.sheds;
   out.rejected = r.rejected;

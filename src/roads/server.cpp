@@ -904,16 +904,20 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   auto reply = std::make_shared<CachedReply>();
   auto& targets = reply->targets;
 
-  // Local data: this server's own store...
+  // Local data: this server's own store (a plain count unless the
+  // records travel back; `stats` is read only when they do)...
   store::QueryStats stats{};
-  const auto local_ids = store_.query(q, &stats);
-  std::size_t local_matches = local_ids.size();
+  std::size_t local_matches = 0;
   auto& local_records = reply->records;
   if (client->collect_results()) {
+    const auto local_ids = store_.query(q, &stats);
+    local_matches = local_ids.size();
     local_records.reserve(local_ids.size());
     for (const auto rid : local_ids) {
       local_records.push_back(store_.get(rid));
     }
+  } else {
+    local_matches = store_.count_matching(q);
   }
   // ...plus summary-only owner attachments. Co-located owners
   // answer through this server (policy applied); remote owners

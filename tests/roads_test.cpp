@@ -7,13 +7,19 @@
 #include <algorithm>
 #include <memory>
 #include <set>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "overlay/replica_set.h"
 #include "record/query.h"
 #include "roads/client.h"
 #include "roads/federation.h"
 #include "roads/query_cache.h"
+#include "sim/delay_space.h"
 #include "sim/fault.h"
+#include "sim/network.h"
+#include "sim/simulator.h"
 
 namespace roads {
 namespace {
@@ -548,6 +554,119 @@ TEST(QueryAdmission, QueuedQueriesDrainInArrivalOrder) {
     previous = c->result().forwarding_latency();
   }
   EXPECT_EQ(fed.metrics().counter("roads.query.cache.shed").value(), 0u);
+}
+
+// --- Client reply deadlines ---
+
+/// A query target with a scripted answer: `delay` after the query
+/// arrives it replies with `redirects`, and it records when the client
+/// took that reply (the send time of the hops it redirects to). A node
+/// marked down never answers.
+struct ScriptedNode : core::QueryTarget {
+  sim::Network* net = nullptr;
+  sim::NodeId id = 0;
+  sim::Time delay = 0;
+  std::vector<std::pair<sim::NodeId, core::QueryMode>> redirects;
+  sim::Time replied_at = -1;
+
+  void handle_query(std::shared_ptr<core::RoadsClient> client,
+                    core::QueryMode /*mode*/) override {
+    client->on_arrival(id);
+    net->simulator().schedule_after(delay, [this, client] {
+      net->send(id, client->location(), 64, sim::Channel::kQuery,
+                [this, client] {
+                  replied_at = net->simulator().now();
+                  client->on_reply(id, redirects, 0, false);
+                });
+    });
+  }
+};
+
+class ScriptedDirectory : public core::Directory {
+ public:
+  ScriptedDirectory(sim::Network& net, std::size_t nodes) : nodes_(nodes) {
+    for (std::size_t i = 0; i < nodes; ++i) {
+      nodes_[i].net = &net;
+      nodes_[i].id = static_cast<sim::NodeId>(i);
+    }
+  }
+  ScriptedNode& node(sim::NodeId id) { return nodes_.at(id); }
+  core::RoadsServer& server(sim::NodeId /*id*/) override {
+    throw std::logic_error("scripted directory has no servers");
+  }
+  core::QueryTarget& query_target(sim::NodeId id) override {
+    return nodes_.at(id);
+  }
+
+ private:
+  std::vector<ScriptedNode> nodes_;
+};
+
+/// One client at node 0 over six scripted nodes; start it at node 1.
+struct ScriptedQuery {
+  sim::Simulator sim;
+  sim::DelaySpace space{6, util::Rng(3)};
+  sim::Network net{sim, space, util::Rng(4)};
+  ScriptedDirectory dir{net, 6};
+  std::shared_ptr<core::RoadsClient> client =
+      std::make_shared<core::RoadsClient>(net, dir, query_attr0(0.0, 1.0), 0);
+};
+
+TEST(ClientDeadline, FinishedClientIsFreedBeforeItsDeadline) {
+  ScriptedQuery run;
+  run.client->start(1);
+  while (!run.client->done()) ASSERT_EQ(run.sim.run_steps(1), 1u);
+  const std::weak_ptr<core::RoadsClient> weak = run.client;
+  run.client.reset();
+  // Only the reply deadline is still pending, and it does not hold the
+  // client; when it fires it finds the client gone and does nothing.
+  EXPECT_TRUE(weak.expired());
+  EXPECT_EQ(run.sim.pending_events(), 1u);
+  run.sim.run();
+  EXPECT_EQ(run.sim.now(), sim::seconds(10));
+}
+
+TEST(ClientDeadline, EachSilentServerIsWrittenOffTenSecondsAfterItsSend) {
+  ScriptedQuery run;
+  // Node 1 redirects to 2 (down) and 3; node 3 answers 3 s late with a
+  // redirect to 4 (down). The two dead servers are sent to at
+  // different times.
+  run.dir.node(1).redirects = {{2, core::QueryMode::kBranch},
+                               {3, core::QueryMode::kBranch}};
+  run.dir.node(3).delay = sim::seconds(3);
+  run.dir.node(3).redirects = {{4, core::QueryMode::kBranch}};
+  run.net.set_node_up(2, false);
+  run.net.set_node_up(4, false);
+  run.client->start(1);
+  while (run.client->visited().size() < 4) {
+    ASSERT_EQ(run.sim.run_steps(1), 1u);
+  }
+  EXPECT_EQ(run.client->visited(), (std::vector<sim::NodeId>{1, 2, 3, 4}));
+  const auto first_send = run.dir.node(1).replied_at;  // the hop to 2
+  const auto later_send = run.dir.node(3).replied_at;  // the hop to 4
+  ASSERT_GT(later_send, first_send + sim::seconds(3));
+
+  run.sim.run_until(later_send + sim::seconds(10) - 1);
+  EXPECT_FALSE(run.client->done()) << "node 4 written off before its deadline";
+  run.sim.run_until(later_send + sim::seconds(10));
+  EXPECT_TRUE(run.client->done());
+  EXPECT_EQ(run.client->result().servers_contacted, 2u);
+}
+
+TEST(ClientDeadline, FaultFreeQuerySchedulesOneDeadline) {
+  std::unique_ptr<Federation> holder;
+  auto& fed = build_identifiable(holder, 13, 2);
+  // stabilize() stops 5 s past a refresh round and maintenance is off,
+  // so no refresh tick or heartbeat falls inside the query.
+  fed.set_refresh_paused(true);
+  const auto before = fed.engine_stats().scheduled;
+  const auto outcome = fed.run_query(query_attr0(0.0, 1.0), 12);
+  ASSERT_TRUE(outcome.complete);
+  const auto hops = outcome.contacted.size();
+  ASSERT_GT(hops, 1u);
+  // Per hop: the query delivery, its processing and the reply delivery.
+  // Per client: one reply deadline.
+  EXPECT_EQ(fed.engine_stats().scheduled - before, 3 * hops + 1);
 }
 
 }  // namespace
