@@ -44,6 +44,7 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_baseline.h"
@@ -165,11 +166,29 @@ inline std::string json_cell(const std::string& cell) {
   return "\"" + obs::json_escape(cell) + "\"";
 }
 
+/// Peak resident set of this process so far, MiB (VmHWM in
+/// /proc/self/status); -1 where the kernel does not report it.
+inline double peak_rss_mib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+  }
+  return -1.0;
+}
+
+/// A named number a report carries beside its table.
+using ReportExtras = std::vector<std::pair<std::string, double>>;
+
 /// Writes the bench's result table to BENCH_<name>.json in the working
 /// directory — the machine-readable twin of the printed ASCII table,
 /// tagged with the profile so quick and full runs are distinguishable.
+/// `extras` become top-level numeric fields.
 inline void write_report(const std::string& name, const BenchProfile& profile,
-                         const util::Table& table) {
+                         const util::Table& table,
+                         const ReportExtras& extras = {}) {
   const std::string path = "BENCH_" + name + ".json";
   std::ofstream os(path);
   if (!os) {
@@ -189,6 +208,10 @@ inline void write_report(const std::string& name, const BenchProfile& profile,
      << ", \"fault_reorder\": " << profile.base.fault_plan.reorder_rate
      << ", \"fault_jitter_us\": " << profile.base.fault_plan.max_jitter
      << "},\n";
+  for (const auto& [key, value] : extras) {
+    os << "  \"" << obs::json_escape(key) << "\": " << obs::json_number(value)
+       << ",\n";
+  }
   os << "  \"headers\": [";
   for (std::size_t i = 0; i < table.headers().size(); ++i) {
     if (i > 0) os << ", ";
@@ -214,8 +237,9 @@ inline void write_report(const std::string& name, const BenchProfile& profile,
 /// regressed past the threshold. A missing or unreadable baseline only
 /// warns — CI's first run has nothing to compare against yet.
 inline int finish_report(const std::string& name, const BenchProfile& profile,
-                         const util::Table& table) {
-  write_report(name, profile, table);
+                         const util::Table& table,
+                         const ReportExtras& extras = {}) {
+  write_report(name, profile, table, extras);
   if (profile.baseline_path.empty()) return 0;
 
   ReportData current;

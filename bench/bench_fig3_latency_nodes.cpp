@@ -21,6 +21,10 @@
 // the scaling leg measures, so points past 640 skip the SWORD columns;
 // the timeline sampler is sequential-only and is skipped when
 // --threads > 1 (conv_s reads 0 there).
+//
+// After the table, a PEAK_RSS line gives the process's peak resident
+// set over the whole sweep (VmHWM), also stored as `peak_rss_mib` in
+// BENCH_fig3_latency_nodes.json.
 #include "bench_common.h"
 
 int main(int argc, char** argv) {
@@ -83,7 +87,12 @@ int main(int argc, char** argv) {
                    util::Table::num(speedup, 2)});
   }
   table.print(std::cout);
-  const int rc = bench::finish_report("fig3_latency_nodes", profile, table);
+  // Summaries dominate the federation's memory, so the sweep's peak
+  // tracks their in-memory form.
+  const double peak_rss = bench::peak_rss_mib();
+  std::printf("PEAK_RSS fig3_latency_nodes vmhwm_mib=%.1f\n", peak_rss);
+  const int rc = bench::finish_report("fig3_latency_nodes", profile, table,
+                                      {{"peak_rss_mib", peak_rss}});
   std::printf(
       "\npaper shape: ROADS ~log (depth-bound, jump when height grows), "
       "SWORD linear;\nROADS 40-60%% lower latency at scale. speedup = "

@@ -186,6 +186,29 @@ void BM_SummaryMerge16x1000(benchmark::State& state) {
 }
 BENCHMARK(BM_SummaryMerge16x1000);
 
+// A server's branch summary: its local summary and 8 child summaries
+// (500 records each, 16 x 1000 buckets) in one k-way merge, as
+// RoadsServer::compute_branch_summary builds it every refresh.
+void BM_SummaryBranchMerge8x16x1000(benchmark::State& state) {
+  const auto schema = record::Schema::uniform_numeric(16);
+  const auto spec = workload::WorkloadSpec::paper_default(16, 500);
+  workload::RecordGenerator gen(schema, spec, 7);
+  summary::SummaryConfig config;
+  std::vector<summary::ResourceSummary> parts;
+  for (std::uint32_t n = 0; n < 9; ++n) {
+    parts.push_back(summary::ResourceSummary::of_records(
+        schema, config, gen.records_for_node(n, n + 1)));
+  }
+  std::vector<const summary::ResourceSummary*> inputs;
+  for (const auto& p : parts) inputs.push_back(&p);
+  for (auto _ : state) {
+    summary::ResourceSummary branch;
+    branch.merge(inputs);
+    benchmark::DoNotOptimize(branch.record_count());
+  }
+}
+BENCHMARK(BM_SummaryBranchMerge8x16x1000)->Unit(benchmark::kMicrosecond);
+
 void BM_StoreQueryScan500(benchmark::State& state) {
   const auto schema = record::Schema::uniform_numeric(16);
   const auto spec = workload::WorkloadSpec::paper_default(16, 500);

@@ -7,7 +7,7 @@
 #include "bench_common.h"
 
 #include "analysis/cost_models.h"
-#include "central/central_repository.h"
+#include "record/record.h"
 
 int main(int argc, char** argv) {
   using namespace roads;
@@ -42,12 +42,14 @@ int main(int argc, char** argv) {
     cfg.runs = 1;
     const auto roads = exp::run_roads_once(cfg, cfg.seed);
     const auto sword = exp::run_sword_once(cfg, cfg.seed);
-    // Central repository stores every record.
-    central::CentralParams cparams;
-    cparams.schema = record::Schema::uniform_numeric(cfg.attributes);
-    const double central_bytes =
-        static_cast<double>(records) * 160.0 *
-        (16.0 + 16.0 * (2.0 + 8.0));  // record wire size at 16 numeric attrs
+    // Central repository stores every record of the 160 nodes, each at
+    // its wire size under the run's numeric schema.
+    const record::ResourceRecord sample(
+        0, 0,
+        std::vector<record::AttributeValue>(cfg.attributes,
+                                            record::AttributeValue(0.0)));
+    const double central_bytes = static_cast<double>(records) * 160.0 *
+                                  static_cast<double>(sample.wire_size());
     table.add_row(
         {std::to_string(records), util::Table::sci(roads.max_storage_bytes),
          util::Table::sci(sword.max_storage_bytes),

@@ -81,7 +81,12 @@ void RoadsClient::visit(sim::NodeId target, QueryMode mode) {
                 [this, self, target, mode] {
                   directory_.query_target(target).handle_query(self, mode);
                 });
-  deadlines_.push_back({network_.simulator().now() + kReplyTimeout, target});
+  add_deadline(target, false);
+}
+
+void RoadsClient::add_deadline(sim::NodeId server, bool batch) {
+  deadlines_.push_back(
+      {network_.simulator().now() + kReplyTimeout, server, batch});
   // Every earlier deadline is handled, so no deadline event is pending.
   if (next_deadline_ + 1 == deadlines_.size()) arm_deadline();
 }
@@ -97,7 +102,13 @@ void RoadsClient::on_deadline() {
   const auto now = network_.simulator().now();
   while (!result_.complete && next_deadline_ < deadlines_.size() &&
          deadlines_[next_deadline_].at <= now) {
-    const auto server = deadlines_[next_deadline_++].server;
+    const Deadline deadline = deadlines_[next_deadline_++];
+    const auto server = deadline.server;
+    if (deadline.batch) {
+      // The batch never came (its server failed before sending it).
+      if (insert_sorted(results_arrived_, server)) check_complete();
+      continue;
+    }
     if (!insert_sorted(replied_, server)) continue;  // it answered in time
     // The server never answered (failed or unreachable); stop waiting.
     if (outstanding_replies_ > 0) --outstanding_replies_;
@@ -130,7 +141,10 @@ void RoadsClient::on_reply(
   if (outstanding_replies_ == 0) return;         // stale reply after completion
   --outstanding_replies_;
   result_.matching_records += local_matches;
-  if (results_pending) insert_sorted(results_expected_, server);
+  if (results_pending) {
+    insert_sorted(results_expected_, server);
+    add_deadline(server, true);
+  }
   if (!targets.empty()) {
     trace_span(obs::TraceKind::kQueryRedirect, server,
                static_cast<double>(targets.size()));

@@ -7,9 +7,11 @@
 // the time the final record batch arrived back.
 //
 // The client writes off a contacted server that has not answered
-// kReplyTimeout (10 s) after its query was sent. Those deadlines are
-// kept in send order, which is deadline order, and one engine event
-// per client waits for the earliest one not yet handled.
+// kReplyTimeout (10 s) after its query was sent, and a result batch
+// that has not arrived 10 s after a reply announced it (its server can
+// fail between the two). Those deadlines are kept in the order they
+// were set, which is deadline order, and one engine event per client
+// waits for the earliest one not yet handled.
 //
 // Lifetime: the caller and the client's own in-flight messages (the
 // query sends and the servers' replies capture it by shared_ptr) keep
@@ -115,17 +117,24 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   void on_overload(sim::NodeId server);
 
  private:
-  /// When the client writes `server` off if it has not answered.
-  struct ReplyDeadline {
+  /// When the client writes `server` off if it has not answered, or,
+  /// for a `batch` deadline, if its announced result batch has not
+  /// arrived.
+  struct Deadline {
     sim::Time at;
     sim::NodeId server;
+    bool batch;
   };
 
   void visit(sim::NodeId target, QueryMode mode);
+  /// Appends a deadline kReplyTimeout from now, arming the deadline
+  /// event when no earlier deadline is pending.
+  void add_deadline(sim::NodeId server, bool batch);
   /// Schedules the deadline event at the earliest unhandled deadline.
   void arm_deadline();
-  /// Writes off every passed hop that has not replied, in send order,
-  /// then re-arms at the next deadline unless the client completed.
+  /// Writes off every passed hop that has not replied and every passed
+  /// batch that has not arrived, in deadline order, then re-arms at the
+  /// next deadline unless the client completed.
   void on_deadline();
   void check_complete();
   void trace_span(obs::TraceKind kind, sim::NodeId node, double value = 0.0);
@@ -143,10 +152,11 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   std::vector<sim::NodeId> replied_;
   std::size_t outstanding_replies_ = 0;
   std::vector<sim::NodeId> results_expected_;
+  // Servers whose batch arrived or was written off.
   std::vector<sim::NodeId> results_arrived_;
-  // Send order, so ascending `at`. Until the client completes, a
-  // deadline event is pending exactly while one is unhandled.
-  std::vector<ReplyDeadline> deadlines_;
+  // Ascending `at`. Until the client completes, a deadline event is
+  // pending exactly while one is unhandled.
+  std::vector<Deadline> deadlines_;
   std::size_t next_deadline_ = 0;  // first one not yet handled
   bool started_ = false;
   sim::NodeId start_server_ = 0;

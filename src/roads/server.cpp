@@ -346,30 +346,32 @@ SummaryPtr RoadsServer::compute_local_summary() {
     summary_full_rebuilds_.inc();
   }
   // The store summary is the local summary unless a summary-only
-  // attachment merges in; only then copy it, once.
-  std::optional<summary::ResourceSummary> local;
+  // attachment merges in; only then build a new one, in one merge.
+  std::vector<const summary::ResourceSummary*> parts = {store_summary_.get()};
   for (const auto& att : attachments_) {
-    if (att.mode != ExportMode::kSummaryOnly || !att.summary) continue;
-    if (!local) local = *store_summary_;
-    local->merge(*att.summary);
-    summary_merges_.inc();
+    if (att.mode == ExportMode::kSummaryOnly && att.summary) {
+      parts.push_back(att.summary.get());
+    }
   }
-  if (!local) return store_summary_;
-  return std::make_shared<const summary::ResourceSummary>(std::move(*local));
+  if (parts.size() == 1) return store_summary_;
+  summary::ResourceSummary local;
+  local.merge(parts);
+  summary_merges_.inc(parts.size() - 1);
+  return std::make_shared<const summary::ResourceSummary>(std::move(local));
 }
 
 SummaryPtr RoadsServer::compute_branch_summary() const {
+  std::vector<const summary::ResourceSummary*> parts = {local_summary_.get()};
+  for (const auto& [child, summary] : children_.summaries()) {
+    if (summary) parts.push_back(summary.get());
+  }
   // A branch no child summary merges into *is* the local summary
   // (always a leaf's case): share it rather than copy every slot.
-  std::optional<summary::ResourceSummary> branch;
-  for (const auto& [child, summary] : children_.summaries()) {
-    if (!summary) continue;
-    if (!branch) branch = *local_summary_;
-    branch->merge(*summary);
-    summary_merges_.inc();
-  }
-  if (!branch) return local_summary_;
-  return std::make_shared<const summary::ResourceSummary>(std::move(*branch));
+  if (parts.size() == 1) return local_summary_;
+  summary::ResourceSummary branch;
+  branch.merge(parts);
+  summary_merges_.inc(parts.size() - 1);
+  return std::make_shared<const summary::ResourceSummary>(std::move(branch));
 }
 
 void RoadsServer::refresh_summaries() {

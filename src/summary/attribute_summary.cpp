@@ -51,7 +51,7 @@ void AttributeSummary::add(const record::AttributeValue& value) {
 
 void AttributeSummary::add_all(const std::vector<double>& values) {
   if (auto* h = std::get_if<Histogram>(&repr_)) {
-    for (const double v : values) h->add(v);
+    h->add_all(values);
   } else if (auto* m = std::get_if<MultiResHistogram>(&repr_)) {
     for (const double v : values) m->add(v);
   } else {
@@ -83,23 +83,54 @@ void AttributeSummary::hash_into(util::Fnv1a& h) const {
 }
 
 void AttributeSummary::merge(const AttributeSummary& other) {
-  if (std::holds_alternative<std::monostate>(other.repr_)) return;
-  if (std::holds_alternative<std::monostate>(repr_)) {
-    repr_ = other.repr_;
-    return;
+  const AttributeSummary* one = &other;
+  merge(std::span(&one, 1));
+}
+
+void AttributeSummary::merge(std::span<const AttributeSummary* const> others) {
+  std::vector<const AttributeSummary*> inputs;
+  inputs.reserve(others.size());
+  std::size_t kind = repr_.index();
+  for (const AttributeSummary* other : others) {
+    if (std::holds_alternative<std::monostate>(other->repr_)) continue;
+    if (std::holds_alternative<std::monostate>(repr_) && inputs.empty()) {
+      kind = other->repr_.index();
+    }
+    if (other->repr_.index() != kind) {
+      throw std::invalid_argument(
+          "AttributeSummary: merging different summary kinds");
+    }
+    inputs.push_back(other);
   }
-  if (repr_.index() != other.repr_.index()) {
-    throw std::invalid_argument(
-        "AttributeSummary: merging different summary kinds");
+  if (inputs.empty()) return;
+  if (std::holds_alternative<std::monostate>(repr_)) {
+    // An empty histogram takes its geometry in the merge; the other
+    // kinds start as a copy of the first input.
+    if (std::holds_alternative<Histogram>(inputs.front()->repr_)) {
+      repr_ = Histogram();
+    } else {
+      repr_ = inputs.front()->repr_;
+      inputs.erase(inputs.begin());
+    }
   }
   if (auto* h = std::get_if<Histogram>(&repr_)) {
-    h->merge(std::get<Histogram>(other.repr_));
-  } else if (auto* m = std::get_if<MultiResHistogram>(&repr_)) {
-    m->merge(std::get<MultiResHistogram>(other.repr_));
-  } else if (auto* s = std::get_if<ValueSet>(&repr_)) {
-    s->merge(std::get<ValueSet>(other.repr_));
-  } else if (auto* b = std::get_if<BloomFilter>(&repr_)) {
-    b->merge(std::get<BloomFilter>(other.repr_));
+    std::vector<const Histogram*> histograms;
+    histograms.reserve(inputs.size());
+    for (const auto* input : inputs) {
+      histograms.push_back(&std::get<Histogram>(input->repr_));
+    }
+    h->merge(histograms);
+    return;
+  }
+  for (const auto* input : inputs) {
+    std::visit(
+        [input](auto& r) {
+          using T = std::decay_t<decltype(r)>;
+          if constexpr (!std::is_same_v<T, std::monostate>) {
+            r.merge(std::get<T>(input->repr_));
+          }
+        },
+        repr_);
   }
 }
 

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -60,6 +61,12 @@ class AttributeSummary {
   /// A whole column at once: the same as add() on each value in order.
   void add_all(const std::vector<double>& values);
   void add_all(const std::vector<std::string>& values);
+  /// Merges every initialized summary in `others` into this one; an
+  /// uninitialized summary takes the first one's kind. Histograms merge
+  /// in one k-way pass, the other kinds one input at a time. Throws
+  /// std::invalid_argument, before anything changes, when kinds differ.
+  void merge(std::span<const AttributeSummary* const> others);
+  /// merge() with one input.
   void merge(const AttributeSummary& other);
   void clear();
 

@@ -7,17 +7,27 @@
 // range predicate matches when any overlapped bucket is non-empty —
 // a conservative (no false negative, possible false positive) test.
 //
-// The buckets are grouped into at most 64 equal blocks, and an inline
-// occupancy word keeps one bit per block: bit b is set iff some counter
-// in block b is non-zero. The range test reads the word for the blocks
-// a range covers whole and scans counters only in its two partial edge
-// blocks, and only when their bit is set. Counters never decrease, so
-// add and merge set bits and only clear clears them. The word is
-// derived from the counters: the digest and wire size never read it.
+// The paper's form, m counters, is the wire form and the size model.
+// In memory a histogram keeps only its non-zero counters, behind two
+// levels of occupancy bits. The buckets are grouped into at most 64
+// equal blocks, and an inline word keeps bit b set iff some counter in
+// block b is non-zero. Below it, one bit per bucket is set iff that
+// bucket's counter is non-zero, and the non-zero counters follow in the
+// same heap block, packed in bucket order: bucket i's counter is the
+// rank(i)-th, rank(i) being the number of set bucket bits below i. The
+// form is canonical, so equal contents compare and digest equal however
+// they were built.
+//
+// The range test reads the block word for the blocks a range covers
+// whole and the bucket bits of its two partial edge blocks; it reads no
+// counter. Builds and merges count into a per-thread dense scratch of m
+// counters and pack once. Counters never decrease, so add and merge
+// set bits and only clear clears them.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -30,28 +40,35 @@ class Histogram {
   Histogram() = default;
 
   /// Buckets partition [domain_min, domain_max); values are clamped into
-  /// the domain so boundary noise cannot drop data silently.
+  /// the domain so boundary noise cannot drop data silently. Throws
+  /// std::invalid_argument unless 0 < buckets < 2^32 and the domain is
+  /// non-empty.
   Histogram(std::size_t buckets, double domain_min, double domain_max);
 
-  std::size_t bucket_count() const { return counts_.size(); }
+  std::size_t bucket_count() const { return buckets_; }
   double domain_min() const { return domain_min_; }
   double domain_max() const { return domain_max_; }
   bool empty() const { return total_ == 0; }
   std::uint64_t total() const { return total_; }
-  std::uint64_t bucket(std::size_t index) const { return counts_.at(index); }
+  /// Counter of bucket `index`; throws std::out_of_range past the last.
+  std::uint64_t bucket(std::size_t index) const;
 
-  /// Defined here, with bucket_index, so that summary builds inline it:
-  /// out of line, the word update made a full rebuild ~29% slower.
-  void add(double value) {
-    const std::size_t index = bucket_index(value);
-    ++counts_[index];
-    occupied_ |= std::uint64_t{1} << (index >> block_shift_);
-    ++total_;
-  }
+  /// One value: an insert into the packed counters, O(non-zero). Only
+  /// record-at-a-time builds call it; summary builds use add_all.
+  void add(double value);
+  /// A whole column at once: the same as add() on each value in order,
+  /// counted into the scratch and packed once.
+  void add_all(std::span<const double> values);
   void clear();
 
-  /// Element-wise counter addition; both histograms must share bucket
-  /// count and domain (throws std::invalid_argument otherwise).
+  /// Element-wise counter addition of every initialized histogram in
+  /// `others` into this one, in one pass: each is added into the
+  /// scratch, the bits and block words are ORed, and the sum is packed
+  /// once. An uninitialized histogram takes the inputs' geometry. All
+  /// must share bucket count and domain (throws std::invalid_argument
+  /// otherwise, before anything changes).
+  void merge(std::span<const Histogram* const> others);
+  /// merge() with one input.
   void merge(const Histogram& other);
 
   /// Conservative range test: true iff some bucket overlapping
@@ -66,41 +83,67 @@ class Histogram {
 
   /// Index of the bucket a value falls in (after clamping).
   std::size_t bucket_index(double value) const {
-    if (counts_.empty()) throw std::logic_error("Histogram: uninitialized");
-    const double clamped = std::clamp(value, domain_min_, domain_max_);
-    auto index =
-        static_cast<std::size_t>((clamped - domain_min_) / bucket_width_);
-    return std::min(index, counts_.size() - 1);
+    if (buckets_ == 0) throw std::logic_error("Histogram: uninitialized");
+    return index_in(value, domain_min_, domain_max_, bucket_width_,
+                    buckets_ - 1);
   }
 
-  /// Wire footprint: 16-byte domain header + 4 bytes per bucket counter.
+  /// Wire footprint: 16-byte domain header + 4 bytes per bucket counter,
+  /// zero or not.
   std::uint64_t wire_size() const;
 
   /// Folds the full content into a digest: the geometry, then the
-  /// counters through Fnv1a::add_lanes, each counter its own 64-bit
-  /// word, so a 1000-bucket fold runs eight multiply chains of 125
-  /// steps instead of one of 1000.
+  /// bucket bits and the packed counters through Fnv1a::add_lanes.
   void hash_into(util::Fnv1a& h) const;
 
-  /// The word is a function of the counters, so comparing it adds no
-  /// inequality that the counters do not.
+  /// The form is canonical (a bucket's bit is set exactly when its
+  /// counter is non-zero, and the block word follows the bits), so
+  /// comparing members compares contents.
   bool operator==(const Histogram& other) const = default;
 
  private:
+  class Scratch;
+
+  /// bucket_index over a geometry held in locals: add_all's counter
+  /// stores could alias the members, which would then be reloaded per
+  /// value.
+  static std::size_t index_in(double value, double lo, double hi,
+                              double width, std::size_t last) {
+    const double clamped = std::clamp(value, lo, hi);
+    return std::min(static_cast<std::size_t>((clamped - lo) / width), last);
+  }
+
+  /// Number of 64-bucket bit words.
+  std::size_t words() const { return (std::size_t{buckets_} + 63) / 64; }
+  /// Bit word w: bit j is set iff bucket 64w + j's counter is non-zero.
+  std::uint64_t bit_word(std::size_t w) const {
+    return data_[2 * w] | std::uint64_t{data_[2 * w + 1]} << 32;
+  }
+  /// The packed non-zero counters, after the bits.
+  const std::uint32_t* counters() const { return data_.data() + 2 * words(); }
+  /// Number of set bucket bits in [begin, end).
+  std::size_t set_bits(std::size_t begin, std::size_t end) const;
   /// True iff a counter in [begin, end), a range inside one block, is
-  /// non-zero; reads no counter when the block's bit is clear.
+  /// non-zero; reads no bucket bit when the block's bit is clear.
   bool any_in_block(std::size_t begin, std::size_t end) const;
 
   double domain_min_ = 0.0;
   double domain_max_ = 1.0;
   double bucket_width_ = 1.0;
   std::uint64_t total_ = 0;
-  std::vector<std::uint32_t> counts_;
   /// Bit b: some counter in buckets [b << block_shift_, (b + 1) <<
   /// block_shift_) is non-zero.
   std::uint64_t occupied_ = 0;
+  std::uint32_t buckets_ = 0;
   /// log2 of the block size: the smallest that gives at most 64 blocks.
   std::uint8_t block_shift_ = 0;
+  /// One heap block: the bucket bits as 2 * words() 32-bit halves, bit
+  /// i % 32 of data_[i / 32] set iff bucket i's counter is non-zero;
+  /// then the non-zero counters in bucket order, one per set bit. Empty
+  /// exactly when total_ is 0, so an empty histogram holds no heap
+  /// block. Kept last, so the fields the range test reads share the
+  /// object's start.
+  std::vector<std::uint32_t> data_;
 };
 
 }  // namespace roads::summary

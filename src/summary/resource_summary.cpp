@@ -1,6 +1,7 @@
 #include "summary/resource_summary.h"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/hash.h"
 
@@ -41,7 +42,28 @@ ResourceSummary ResourceSummary::of_records(
     const record::Schema& schema, const SummaryConfig& config,
     const std::vector<record::ResourceRecord>& records) {
   ResourceSummary summary(schema, config);
-  for (const auto& r : records) summary.add(r);
+  for (const auto& r : records) {
+    if (r.values().size() < summary.slot_index_.size()) {
+      throw std::invalid_argument(
+          "ResourceSummary: record too short for schema");
+    }
+  }
+  std::vector<double> numbers;
+  std::vector<std::string> categories;
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    if (summary.slot_index_[i] == kNotSearchable) continue;
+    auto& slot = summary.slots_[summary.slot_index_[i]];
+    if (schema.at(i).type == record::AttributeType::kNumeric) {
+      numbers.clear();
+      for (const auto& r : records) numbers.push_back(r.value(i).number());
+      slot.add_all(numbers);
+    } else {
+      categories.clear();
+      for (const auto& r : records) categories.push_back(r.value(i).category());
+      slot.add_all(categories);
+    }
+  }
+  summary.record_count_ = records.size();
   return summary;
 }
 
@@ -77,19 +99,39 @@ std::uint64_t ResourceSummary::digest() const {
 }
 
 void ResourceSummary::merge(const ResourceSummary& other) {
-  if (!other.initialized()) return;
+  const ResourceSummary* one = &other;
+  merge(std::span(&one, 1));
+}
+
+void ResourceSummary::merge(std::span<const ResourceSummary* const> others) {
+  std::vector<const ResourceSummary*> inputs;
+  inputs.reserve(others.size());
+  for (const ResourceSummary* other : others) {
+    if (other->initialized()) inputs.push_back(other);
+  }
+  if (inputs.empty()) return;
+  const auto& shape = initialized() ? *this : *inputs.front();
+  for (const auto* input : inputs) {
+    if (input->slots_.size() != shape.slots_.size()) {
+      throw std::invalid_argument("ResourceSummary: schema mismatch in merge");
+    }
+  }
   if (!initialized()) {
-    *this = other;
-    return;
+    // Empty slots take their kind and geometry from the inputs.
+    slot_index_ = shape.slot_index_;
+    slots_.resize(shape.slots_.size());
   }
+  std::uint64_t added = 0;
+  for (const auto* input : inputs) added += input->record_count_;
   digest_memo_.reset();
-  if (slots_.size() != other.slots_.size()) {
-    throw std::invalid_argument("ResourceSummary: schema mismatch in merge");
-  }
+  std::vector<const AttributeSummary*> column(inputs.size());
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    slots_[i].merge(other.slots_[i]);
+    for (std::size_t k = 0; k < inputs.size(); ++k) {
+      column[k] = &inputs[k]->slots_[i];
+    }
+    slots_[i].merge(column);
   }
-  record_count_ += other.record_count_;
+  record_count_ += added;
 }
 
 void ResourceSummary::clear() {

@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "record/query.h"
@@ -27,7 +28,7 @@ class ResourceSummary {
   /// Empty summary with one slot per searchable attribute of `schema`.
   ResourceSummary(const record::Schema& schema, const SummaryConfig& config);
 
-  /// Summarizes a record set in one pass.
+  /// Summarizes a record set column by column (AttributeSummary::add_all).
   static ResourceSummary of_records(
       const record::Schema& schema, const SummaryConfig& config,
       const std::vector<record::ResourceRecord>& records);
@@ -47,8 +48,14 @@ class ResourceSummary {
   /// Folds one record's searchable values in.
   void add(const record::ResourceRecord& record);
 
-  /// Aggregates another summary (histogram counter addition, set union,
-  /// Bloom OR) — the bottom-up merge of the hierarchy.
+  /// Aggregates every initialized summary in `others` into this one
+  /// (histogram counter addition, set union, Bloom OR) — the bottom-up
+  /// merge of the hierarchy. Each histogram slot merges all inputs in
+  /// one pass and packs once. An uninitialized summary takes the first
+  /// input's schema. Throws std::invalid_argument on a slot count
+  /// mismatch, before anything changes.
+  void merge(std::span<const ResourceSummary* const> others);
+  /// merge() with one input.
   void merge(const ResourceSummary& other);
   void clear();
 

@@ -561,13 +561,18 @@ TEST(QueryAdmission, QueuedQueriesDrainInArrivalOrder) {
 /// A query target with a scripted answer: `delay` after the query
 /// arrives it replies with `redirects`, and it records when the client
 /// took that reply (the send time of the hops it redirects to). A node
-/// marked down never answers.
+/// marked down never answers. With `batch` set, the reply announces
+/// those records as a result batch, which follows `batch_delay` after
+/// the reply unless `batch_delay` is negative (the node fails first).
 struct ScriptedNode : core::QueryTarget {
   sim::Network* net = nullptr;
   sim::NodeId id = 0;
   sim::Time delay = 0;
   std::vector<std::pair<sim::NodeId, core::QueryMode>> redirects;
   sim::Time replied_at = -1;
+  std::vector<record::ResourceRecord> batch;
+  sim::Time batch_delay = 0;
+  sim::Time batch_at = -1;
 
   void handle_query(std::shared_ptr<core::RoadsClient> client,
                     core::QueryMode /*mode*/) override {
@@ -576,8 +581,17 @@ struct ScriptedNode : core::QueryTarget {
       net->send(id, client->location(), 64, sim::Channel::kQuery,
                 [this, client] {
                   replied_at = net->simulator().now();
-                  client->on_reply(id, redirects, 0, false);
+                  client->on_reply(id, redirects, batch.size(),
+                                   !batch.empty());
                 });
+      if (batch.empty() || batch_delay < 0) return;
+      net->simulator().schedule_after(batch_delay, [this, client] {
+        net->send(id, client->location(), 64, sim::Channel::kQuery,
+                  [this, client] {
+                    batch_at = net->simulator().now();
+                    client->on_results(id, batch);
+                  });
+      });
     });
   }
 };
@@ -603,14 +617,21 @@ class ScriptedDirectory : public core::Directory {
 };
 
 /// One client at node 0 over six scripted nodes; start it at node 1.
+/// `collect` puts the client in result-collection mode.
 struct ScriptedQuery {
+  explicit ScriptedQuery(bool collect = false)
+      : client(std::make_shared<core::RoadsClient>(
+            net, dir, query_attr0(0.0, 1.0), 0, core::kAnonymous, collect)) {}
   sim::Simulator sim;
   sim::DelaySpace space{6, util::Rng(3)};
   sim::Network net{sim, space, util::Rng(4)};
   ScriptedDirectory dir{net, 6};
-  std::shared_ptr<core::RoadsClient> client =
-      std::make_shared<core::RoadsClient>(net, dir, query_attr0(0.0, 1.0), 0);
+  std::shared_ptr<core::RoadsClient> client;
 };
+
+std::vector<record::ResourceRecord> one_record_batch() {
+  return {record::ResourceRecord(7, 1, {record::AttributeValue(0.5)})};
+}
 
 TEST(ClientDeadline, FinishedClientIsFreedBeforeItsDeadline) {
   ScriptedQuery run;
@@ -651,6 +672,46 @@ TEST(ClientDeadline, EachSilentServerIsWrittenOffTenSecondsAfterItsSend) {
   run.sim.run_until(later_send + sim::seconds(10));
   EXPECT_TRUE(run.client->done());
   EXPECT_EQ(run.client->result().servers_contacted, 2u);
+}
+
+TEST(ClientDeadline, AnnouncedBatchThatNeverComesIsWrittenOffAfterTenSeconds) {
+  ScriptedQuery run(/*collect=*/true);
+  // Node 1 announces a batch and fails before sending it.
+  run.dir.node(1).batch = one_record_batch();
+  run.dir.node(1).batch_delay = -1;
+  run.client->start(1);
+  while (run.dir.node(1).replied_at < 0) ASSERT_EQ(run.sim.run_steps(1), 1u);
+  const auto reply = run.dir.node(1).replied_at;
+  run.sim.run_until(reply + sim::seconds(10) - 1);
+  EXPECT_FALSE(run.client->done()) << "batch written off before its deadline";
+  run.sim.run_until(reply + sim::seconds(10));
+  ASSERT_TRUE(run.client->done());
+  EXPECT_EQ(run.client->result().matching_records, 1u);
+  EXPECT_TRUE(run.client->result().records.empty());
+  EXPECT_EQ(run.client->result().last_result_at,
+            run.client->result().issued_at);
+}
+
+TEST(ClientDeadline, BatchThatArrivesInTimeCountsOnce) {
+  ScriptedQuery run(/*collect=*/true);
+  // The batch leaves 9 s after the reply and lands before the reply's
+  // own deadline and before the batch's.
+  run.dir.node(1).batch = one_record_batch();
+  run.dir.node(1).batch_delay = sim::seconds(9);
+  run.client->start(1);
+  while (!run.client->done()) ASSERT_EQ(run.sim.run_steps(1), 1u);
+  const auto arrived = run.dir.node(1).batch_at;
+  ASSERT_GE(arrived, 0);
+  EXPECT_EQ(run.sim.now(), arrived);
+  EXPECT_LT(arrived, run.dir.node(1).replied_at + sim::seconds(10));
+  // Only the reply deadline is pending: the batch deadline found an
+  // earlier deadline pending and scheduled nothing. Once both pass,
+  // the batch still counts once, at its arrival.
+  EXPECT_EQ(run.sim.pending_events(), 1u);
+  run.sim.run();
+  ASSERT_EQ(run.client->result().records.size(), 1u);
+  EXPECT_EQ(run.client->result().records[0].id(), one_record_batch()[0].id());
+  EXPECT_EQ(run.client->result().last_result_at, arrived);
 }
 
 TEST(ClientDeadline, FaultFreeQuerySchedulesOneDeadline) {

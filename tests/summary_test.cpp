@@ -214,9 +214,10 @@ TEST(Histogram, DigestSeesEveryCounter) {
 
 // --- Histogram occupancy word ---
 //
-// matches_range answers from a per-block occupancy word and scans only
-// partial edge blocks; count_in_range sums every overlapped counter.
-// After each mutation the two must agree on every probed range.
+// matches_range answers from a per-block occupancy word and reads the
+// bucket bits of partial edge blocks only; count_in_range sums the
+// packed counters of every overlapped bucket. After each mutation the
+// two must agree on every probed range.
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
@@ -337,6 +338,205 @@ TEST(Histogram, OccupancyWordAgreesWithTheCountersUnderEveryMutator) {
           ASSERT_EQ(h.matches_range(lo, hi), h.count_in_range(lo, hi) > 0)
               << "step " << step << " [" << lo << ", " << hi << "]";
         }
+      }
+    }
+  }
+}
+
+// --- Histogram against a dense model ---
+//
+// A histogram keeps only its non-zero counters, packed in bucket order
+// behind a block word and one bit per bucket, and builds and merges go
+// through a dense scratch with a 64-counter path for full bit words. A
+// plain vector of m counters is the reference: after every mutator
+// each bucket, the total and every probed count_in_range and
+// matches_range must agree with it, and the histogram must equal (and
+// digest like) one built from the model's counts in one add_all.
+
+/// m counters over [0, 1], updated the obvious way.
+class DenseModel {
+ public:
+  explicit DenseModel(std::size_t buckets)
+      : geometry_(buckets, 0.0, 1.0), counts_(buckets, 0) {}
+
+  void add(double value) { ++counts_[geometry_.bucket_index(value)]; }
+  void add(const DenseModel& other) {
+    for (std::size_t i = 0; i < counts_.size(); ++i) {
+      counts_[i] += other.counts_[i];
+    }
+  }
+  void clear() { std::fill(counts_.begin(), counts_.end(), 0); }
+
+  /// Compares every observable of `h` with the model's.
+  void expect_agrees(const Histogram& h, util::Rng& rng,
+                     bool canonical) const {
+    const std::size_t buckets = counts_.size();
+    ASSERT_EQ(h.bucket_count(), buckets);
+    std::vector<std::uint64_t> prefix(buckets + 1, 0);
+    for (std::size_t i = 0; i < buckets; ++i) {
+      ASSERT_EQ(h.bucket(i), counts_[i]) << "bucket " << i;
+      prefix[i + 1] = prefix[i] + counts_[i];
+    }
+    ASSERT_EQ(h.total(), prefix[buckets]);
+    for (const auto& [lo, hi] : probe_ranges(buckets, rng)) {
+      std::uint64_t expected = 0;
+      if (lo <= hi && hi >= 0.0 && lo <= 1.0) {
+        const auto first = geometry_.bucket_index(std::max(lo, 0.0));
+        const auto last = geometry_.bucket_index(std::min(hi, 1.0));
+        expected = prefix[last + 1] - prefix[first];
+      }
+      ASSERT_EQ(h.count_in_range(lo, hi), expected)
+          << "[" << lo << ", " << hi << "]";
+      ASSERT_EQ(h.matches_range(lo, hi), expected > 0)
+          << "[" << lo << ", " << hi << "]";
+    }
+    if (!canonical) return;
+    std::vector<double> values;
+    for (std::size_t i = 0; i < buckets; ++i) {
+      values.insert(values.end(), counts_[i], centre(i));
+    }
+    Histogram rebuilt(buckets, 0.0, 1.0);
+    rebuilt.add_all(values);
+    ASSERT_TRUE(h == rebuilt);
+    ASSERT_EQ(histogram_digest(h), histogram_digest(rebuilt));
+  }
+
+  double centre(std::size_t i) const {
+    return (static_cast<double>(i) + 0.5) /
+           static_cast<double>(counts_.size());
+  }
+
+ private:
+  Histogram geometry_;  // bucket_index only
+  std::vector<std::uint64_t> counts_;
+};
+
+TEST(Histogram, AgreesWithADenseModelUnderEveryMutator) {
+  const std::size_t kBuckets[] = {1,    7,    63,   64,   65,   100, 1000,
+                                  1023, 1024, 1025, 4000, 4096, 5000};
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    for (const std::size_t buckets : kBuckets) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ", " +
+                   std::to_string(buckets) + " buckets");
+      util::Rng rng(seed * 104729 + buckets);
+      const DenseModel shape(buckets);
+      const auto any_bucket = [&] {
+        return static_cast<std::size_t>(
+            rng.uniform_int(0, static_cast<std::int64_t>(buckets) - 1));
+      };
+      std::vector<double> hot;
+      for (int k = 0; k < 3; ++k) hot.push_back(shape.centre(any_bucket()));
+      // A batch of values: a few hot buckets, values anywhere (out of
+      // the domain included), or one value per bucket over a run that
+      // fills a 64-bucket bit word, all but one bucket of it, or more.
+      const auto batch = [&] {
+        std::vector<double> values;
+        const auto kind = rng.uniform_int(0, 2);
+        if (kind == 0) {
+          for (auto n = rng.uniform_int(1, 6); n > 0; --n) {
+            values.push_back(hot[static_cast<std::size_t>(
+                rng.uniform_int(0, 2))]);
+          }
+        } else if (kind == 1) {
+          for (auto n = rng.uniform_int(1, 40); n > 0; --n) {
+            values.push_back(rng.uniform(-0.5, 1.5));
+          }
+        } else {
+          const std::size_t lengths[] = {1, 63, 64, 65, 128};
+          const auto length = lengths[rng.uniform_int(0, 4)];
+          std::size_t start = any_bucket();
+          if (rng.bernoulli(0.7)) {  // at or one past a bit word's start
+            start = start / 64 * 64 +
+                    static_cast<std::size_t>(rng.uniform_int(0, 1));
+          }
+          for (std::size_t b = start; b < std::min(buckets, start + length);
+               ++b) {
+            values.push_back(shape.centre(b));
+          }
+        }
+        return values;
+      };
+      // A histogram of one batch, built by add or by add_all; one in
+      // five is empty and one in ten uninitialized.
+      const auto input = [&](DenseModel& model) {
+        if (rng.bernoulli(0.1)) return Histogram();
+        Histogram h(buckets, 0.0, 1.0);
+        if (rng.bernoulli(0.2)) return h;
+        const auto values = batch();
+        for (const double v : values) model.add(v);
+        if (rng.bernoulli(0.5)) {
+          h.add_all(values);
+        } else {
+          for (const double v : values) h.add(v);
+        }
+        return h;
+      };
+
+      Histogram h(buckets, 0.0, 1.0);
+      DenseModel model(buckets);
+      for (int step = 0; step < 40; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const auto op = rng.uniform_int(0, 99);
+        if (op < 20) {
+          for (auto n = rng.uniform_int(1, 3); n > 0; --n) {
+            const double v = rng.bernoulli(0.5) ? hot[0] : rng.uniform01();
+            model.add(v);
+            h.add(v);
+          }
+        } else if (op < 40) {
+          const auto values = batch();
+          for (const double v : values) model.add(v);
+          h.add_all(values);
+        } else if (op < 52) {  // pairwise, either way round
+          DenseModel part(buckets);
+          auto other = input(part);
+          model.add(part);
+          if (rng.bernoulli(0.2)) {  // into an uninitialized histogram
+            Histogram fresh;
+            fresh.merge(h);
+            h = fresh;
+          }
+          if (rng.bernoulli(0.5) && other.bucket_count() != 0) {
+            other.merge(h);
+            h = std::move(other);
+          } else {
+            h.merge(other);
+          }
+        } else if (op < 70) {  // k-way over 0, 1 or 8 inputs
+          const std::size_t k[] = {0, 1, 8};
+          std::vector<Histogram> inputs;
+          for (auto n = k[rng.uniform_int(0, 2)]; n > 0; --n) {
+            DenseModel part(buckets);
+            inputs.push_back(input(part));
+            model.add(part);
+          }
+          std::vector<const Histogram*> others;
+          for (const auto& i : inputs) others.push_back(&i);
+          if (rng.bernoulli(0.2)) {  // the base among the inputs
+            others.insert(others.begin() + static_cast<std::ptrdiff_t>(
+                                               rng.uniform_int(0, 1) *
+                                               others.size()),
+                          &h);
+            Histogram fresh;
+            fresh.merge(others);
+            h = std::move(fresh);
+          } else {
+            h.merge(others);
+          }
+        } else if (op < 76) {
+          h.clear();
+          model.clear();
+        } else if (op < 88) {
+          const Histogram copy = h;
+          h.clear();
+          h = copy;
+        } else {
+          Histogram moved = std::move(h);
+          h = Histogram();
+          h = std::move(moved);
+        }
+        model.expect_agrees(h, rng, step % 8 == 7 || step == 39);
+        if (HasFatalFailure()) return;
       }
     }
   }
@@ -768,9 +968,12 @@ TEST(ResourceSummary, DigestIndependentOfBuildPath) {
   const auto r1 = mixed_record(1, "camera", 0.3);
   const auto r2 = mixed_record(2, "sensor", 0.8);
   const auto r3 = mixed_record(3, "camera", 0.55);
+  const auto of = [&](const std::vector<record::ResourceRecord>& records) {
+    return ResourceSummary::of_records(mixed_schema(), config, records);
+  };
 
-  const auto batch =
-      ResourceSummary::of_records(mixed_schema(), config, {r1, r2, r3});
+  // Column by column (add_all).
+  const auto batch = of({r1, r2, r3});
   // Same content assembled one record at a time, in a different order.
   ResourceSummary stepped(mixed_schema(), config);
   stepped.add(r3);
@@ -778,14 +981,31 @@ TEST(ResourceSummary, DigestIndependentOfBuildPath) {
   stepped.add(r2);
   EXPECT_EQ(batch.digest(), stepped.digest());
 
-  // And by merging summaries of two parts.
-  auto merged = ResourceSummary::of_records(mixed_schema(), config, {r2});
-  merged.merge(ResourceSummary::of_records(mixed_schema(), config, {r3, r1}));
+  // And by merging summaries of two parts, either way round.
+  auto merged = of({r2});
+  merged.merge(of({r3, r1}));
   EXPECT_EQ(batch.digest(), merged.digest());
+  auto reversed = of({r3, r1});
+  reversed.merge(of({r2}));
+  EXPECT_EQ(batch.digest(), reversed.digest());
+
+  // And in one k-way merge of single records and an empty summary,
+  // into an uninitialized summary and into an initialized one.
+  const auto s1 = of({r1});
+  const auto s2 = of({r2});
+  const auto s3 = of({r3});
+  const ResourceSummary none(mixed_schema(), config);
+  const std::vector<const ResourceSummary*> parts = {&s3, &none, &s1, &s2};
+  ResourceSummary kway;
+  kway.merge(parts);
+  EXPECT_EQ(batch.digest(), kway.digest());
+  auto based = of({r2});
+  based.merge(std::vector<const ResourceSummary*>{&s1, &none, &s3});
+  EXPECT_EQ(batch.digest(), based.digest());
+  EXPECT_EQ(kway.record_count(), 3u);
 
   // Different content must not collide (for these inputs).
-  const auto other =
-      ResourceSummary::of_records(mixed_schema(), config, {r1, r2});
+  const auto other = of({r1, r2});
   EXPECT_NE(batch.digest(), other.digest());
 }
 
@@ -809,6 +1029,9 @@ TEST(ResourceSummary, DigestMemoFollowsEveryMutator) {
   EXPECT_EQ(s.digest(), twin({r1})) << "add";
   s.merge(ResourceSummary::of_records(schema, config, {r3}));
   EXPECT_EQ(s.digest(), twin({r1, r3})) << "merge";
+  const auto with_r2 = ResourceSummary::of_records(schema, config, {r2});
+  s.merge(std::vector<const ResourceSummary*>{&with_r2, &with_r2});
+  EXPECT_EQ(s.digest(), twin({r1, r3, r2, r2})) << "k-way merge";
 
   // A copy of a warm summary, once mutated, digests its own content and
   // leaves the source's digest alone.
@@ -862,6 +1085,56 @@ TEST(ResourceSummary, DigestFromConcurrentReaders) {
   }
   for (auto& t : readers) t.join();
   for (const auto d : seen) EXPECT_EQ(d, twin.digest());
+}
+
+// Summary builds and merges count into a per-thread scratch: four
+// threads building and k-way-merging at once must each get the
+// single-threaded digest (run under TSan in CI).
+TEST(ResourceSummary, ConcurrentBuildsAndMergesMatchOneThread) {
+  SummaryConfig config;
+  const auto schema = record::Schema::uniform_numeric(4);
+  util::Rng rng(11);
+  std::vector<std::vector<record::ResourceRecord>> parts(9);
+  record::RecordId id = 0;
+  for (auto& part : parts) {
+    for (int i = 0; i < 300; ++i) {
+      part.emplace_back(
+          ++id, 1,
+          std::vector<AttributeValue>{AttributeValue(rng.uniform01()),
+                                      AttributeValue(rng.uniform(0.2, 0.3)),
+                                      AttributeValue(rng.uniform01()),
+                                      AttributeValue(0.5)});
+    }
+  }
+  const auto branch_digest = [&] {
+    std::vector<ResourceSummary> summaries;
+    for (const auto& part : parts) {
+      summaries.push_back(ResourceSummary::of_records(schema, config, part));
+    }
+    std::vector<const ResourceSummary*> inputs;
+    for (const auto& s : summaries) inputs.push_back(&s);
+    ResourceSummary branch;
+    branch.merge(inputs);
+    return branch.digest();
+  };
+  const auto expected = branch_digest();
+
+  constexpr int kThreads = 4;
+  std::latch start(kThreads);
+  std::vector<std::vector<std::uint64_t>> seen(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (int round = 0; round < 40; ++round) {
+        seen[t].push_back(branch_digest());
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (const auto& digests : seen) {
+    for (const auto d : digests) EXPECT_EQ(d, expected);
+  }
 }
 
 TEST(ResourceSummary, WireSizeConstantInRecordCount) {
