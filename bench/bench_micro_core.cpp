@@ -1,9 +1,10 @@
 // Microbenchmarks (google-benchmark) of the hot substrate operations:
 // histogram updates and merges, summary construction, Bloom filter
-// probes, record-store queries, the discrete-event core, and the two
-// trace kernels a traced query pays for (ring appends, and its span
-// tree plus critical path). These bound the simulator's own cost so the
-// figure benches' wall time is explainable.
+// probes, record copies, record-store queries and rewrites, the
+// discrete-event core, and the two trace kernels a traced query pays
+// for (ring appends, and its span tree plus critical path). These bound
+// the simulator's own cost so the figure benches' wall time is
+// explainable.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -241,6 +242,48 @@ void BM_StoreQueryIndexed64k(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_StoreQueryIndexed64k);
+
+// --- Materialized records ---
+//
+// Records are built whole for set-up batches, get/snapshot, result
+// batches and the SWORD and central baselines; each copy allocates one
+// value vector of 16-byte AttributeValues.
+
+void BM_RecordCopy16(benchmark::State& state) {
+  const auto schema = record::Schema::uniform_numeric(16);
+  const auto spec = workload::WorkloadSpec::paper_default(16, 1);
+  workload::RecordGenerator gen(schema, spec, 7);
+  const auto source = gen.records_for_node(0, 1).front();
+  for (auto _ : state) {
+    record::ResourceRecord copy = source;
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_RecordCopy16);
+
+// perfbench churn's rewrite round trip on a 500-record server store:
+// get the record, set one value, update it in place.
+void BM_RecordStoreRewrite(benchmark::State& state) {
+  const auto schema = record::Schema::uniform_numeric(16);
+  const auto spec = workload::WorkloadSpec::paper_default(16, 500);
+  workload::RecordGenerator gen(schema, spec, 7);
+  store::RecordStore store(schema);
+  std::vector<record::RecordId> ids;
+  for (auto& r : gen.records_for_node(0, 1)) {
+    ids.push_back(r.id());
+    store.insert(std::move(r));
+  }
+  util::Rng rng(11);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    auto rec = store.get(ids[i++ % ids.size()]);
+    rec.set_value(static_cast<std::size_t>(rng.uniform_int(0, 15)),
+                  record::AttributeValue(rng.uniform01()));
+    store.update(std::move(rec));
+  }
+  benchmark::DoNotOptimize(store.version());
+}
+BENCHMARK(BM_RecordStoreRewrite);
 
 void BM_SimulatorEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -7,6 +7,33 @@
 
 namespace roads::obs {
 
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<std::uint64_t>& counts, double q) {
+  std::uint64_t total = 0;
+  for (const auto c : counts) total += c;
+  if (total == 0) return 0.0;
+  const double target = q * static_cast<double>(total);
+  double cumulative = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double next = cumulative + static_cast<double>(counts[i]);
+    if (next >= target || i + 1 == counts.size()) {
+      if (i >= bounds.size()) {
+        // Overflow bucket: no upper bound to interpolate toward.
+        return bounds.empty() ? 0.0 : bounds.back();
+      }
+      const double lower = i == 0 ? std::min(0.0, bounds[0]) : bounds[i - 1];
+      const double width = bounds[i] - lower;
+      const double inside = counts[i] == 0
+                                ? 0.0
+                                : (target - cumulative) /
+                                      static_cast<double>(counts[i]);
+      return lower + width * std::clamp(inside, 0.0, 1.0);
+    }
+    cumulative = next;
+  }
+  return bounds.empty() ? 0.0 : bounds.back();
+}
+
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)), buckets_(bounds_.size() + 1, 0) {
   if (!std::is_sorted(bounds_.begin(), bounds_.end())) {
@@ -19,7 +46,6 @@ void Histogram::record(double x) {
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), x);
   ++buckets_[static_cast<std::size_t>(it - bounds_.begin())];
   stat_.add(x);
-  samples_.add(x);
 }
 
 std::uint64_t Histogram::count() const {
@@ -49,10 +75,10 @@ double Histogram::max() const {
 
 double Histogram::quantile(double q) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  // An empty histogram has no sample set to interpolate over; define
-  // every quantile as 0 so snapshot/export paths never read into one.
-  if (samples_.count() == 0) return 0.0;
-  return samples_.percentile(q * 100.0);
+  // Empty, the rule reads 0 and RunningStat reads min = max = 0, so
+  // snapshot/export paths get a defined 0 at every quantile.
+  return std::clamp(bucket_quantile(bounds_, buckets_, q), stat_.min(),
+                    stat_.max());
 }
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {

@@ -53,11 +53,24 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-/// Fixed-bucket histogram with exact quantiles on the side: bucket
-/// counts answer Prometheus-style exposition, while the stored samples
-/// (util::Samples) answer percentile queries exactly — affordable here
-/// because sample volume is bounded by simulated query/operation
-/// counts. Thread-safe via a per-instrument mutex.
+/// Quantile q in [0, 1] of the samples that `counts` holds per bucket
+/// (not cumulative; counts.size() == bounds.size() + 1, the last entry
+/// being the +inf overflow bucket), by the Prometheus
+/// histogram_quantile rule: find the bucket that holds the q-th share
+/// of the samples and interpolate linearly inside it. The first
+/// bucket's lower edge is min(0, bounds[0]); a quantile that lands in
+/// the overflow bucket reads the last bound. 0 when `counts` holds no
+/// sample. Histogram::quantile and Timeline's window quantiles both
+/// use it, so one rule answers every quantile the registry reports.
+double bucket_quantile(const std::vector<double>& bounds,
+                       const std::vector<std::uint64_t>& counts, double q);
+
+/// Fixed-bucket histogram: per-bucket counts plus count, sum, min and
+/// max, and no log of the samples, so an instrument on a hot path
+/// (one sample per replica put) stays the same size however long a
+/// run goes. Quantiles come from the buckets, as in Envoy's
+/// HistogramStatistics and Prometheus exposition. Thread-safe via a
+/// per-instrument mutex: shard threads record into shared instruments.
 class Histogram {
  public:
   /// `bounds` are ascending bucket upper bounds; an implicit +inf
@@ -71,7 +84,8 @@ class Histogram {
   double mean() const;
   double min() const;
   double max() const;
-  /// Exact linear-interpolated quantile, q in [0, 1].
+  /// bucket_quantile over every sample recorded, clamped to
+  /// [min(), max()]: 0 when empty, and exact for a single sample.
   double quantile(double q) const;
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -84,7 +98,6 @@ class Histogram {
   mutable std::mutex mutex_;
   std::vector<std::uint64_t> buckets_;
   util::RunningStat stat_;
-  util::Samples samples_;
 };
 
 /// Power-of-10-ish bounds covering sub-microsecond store operations up

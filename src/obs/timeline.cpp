@@ -8,42 +8,6 @@
 
 namespace roads::obs {
 
-namespace {
-
-/// Quantile of the samples a window added to a histogram, estimated
-/// from the per-bucket count deltas by linear interpolation within the
-/// bucket bounds (the Prometheus histogram_quantile rule). The exact
-/// side-samples are cumulative over the run, so a window cannot use
-/// them; bucket-resolution estimates are the standard trade.
-double windowed_quantile(const std::vector<double>& bounds,
-                         const std::vector<std::uint64_t>& deltas, double q) {
-  std::uint64_t total = 0;
-  for (const auto d : deltas) total += d;
-  if (total == 0) return 0.0;
-  const double target = q * static_cast<double>(total);
-  double cumulative = 0.0;
-  for (std::size_t i = 0; i < deltas.size(); ++i) {
-    const double next = cumulative + static_cast<double>(deltas[i]);
-    if (next >= target || i + 1 == deltas.size()) {
-      if (i >= bounds.size()) {
-        // Overflow bucket: no upper bound to interpolate toward.
-        return bounds.empty() ? 0.0 : bounds.back();
-      }
-      const double lower = i == 0 ? std::min(0.0, bounds[0]) : bounds[i - 1];
-      const double width = bounds[i] - lower;
-      const double inside = deltas[i] == 0
-                                ? 0.0
-                                : (target - cumulative) /
-                                      static_cast<double>(deltas[i]);
-      return lower + width * std::clamp(inside, 0.0, 1.0);
-    }
-    cumulative = next;
-  }
-  return bounds.empty() ? 0.0 : bounds.back();
-}
-
-}  // namespace
-
 Timeline::Timeline(MetricsRegistry& registry, TimelineConfig config)
     : registry_(registry),
       config_(config),
@@ -137,9 +101,9 @@ void Timeline::tick(sim::Time now) {
     window.values[t.name + ".wmean"] =
         wcount > 0 ? wsum / static_cast<double>(wcount) : 0.0;
     const auto& bounds = t.hist->bounds();
-    window.values[t.name + ".wp50"] = windowed_quantile(bounds, deltas, 0.50);
-    window.values[t.name + ".wp90"] = windowed_quantile(bounds, deltas, 0.90);
-    window.values[t.name + ".wp99"] = windowed_quantile(bounds, deltas, 0.99);
+    window.values[t.name + ".wp50"] = bucket_quantile(bounds, deltas, 0.50);
+    window.values[t.name + ".wp90"] = bucket_quantile(bounds, deltas, 0.90);
+    window.values[t.name + ".wp99"] = bucket_quantile(bounds, deltas, 0.99);
   }
   for (const auto& p : probes_) {
     window.values["probe." + p.name] = p.fn(now);

@@ -87,9 +87,8 @@ class Timeline {
   /// Tracks a histogram: each window diffs the cumulative bucket counts
   /// and records "<name>.wcount", "<name>.wmean" and
   /// "<name>.wp50/.wp90/.wp99" — quantiles of the samples recorded
-  /// *inside* the window, estimated by linear interpolation within the
-  /// bucket bounds (exact side-samples are cumulative, so windows
-  /// cannot use them).
+  /// *inside* the window: obs::bucket_quantile over the window's
+  /// bucket-count deltas.
   void track_histogram(const std::string& name);
 
   /// Probe sampled at every tick; the result lands in the window as

@@ -27,6 +27,7 @@ RoadsClient::RoadsClient(sim::Network& network, Directory& directory,
     : network_(network),
       directory_(directory),
       query_(std::move(query)),
+      query_digest_(query_.digest()),
       location_(location),
       principal_(principal),
       collect_results_(collect_results) {}

@@ -77,6 +77,9 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   unsigned scope() const { return scope_; }
 
   const record::Query& query() const { return query_; }
+  /// query().digest(), computed once at construction: every server the
+  /// query visits folds it into its result-cache key.
+  std::uint64_t query_digest() const { return query_digest_; }
   Principal principal() const { return principal_; }
   sim::NodeId location() const { return location_; }
   bool collect_results() const { return collect_results_; }
@@ -142,6 +145,7 @@ class RoadsClient : public std::enable_shared_from_this<RoadsClient> {
   sim::Network& network_;
   Directory& directory_;
   record::Query query_;
+  std::uint64_t query_digest_;
   sim::NodeId location_;
   Principal principal_;
   bool collect_results_;

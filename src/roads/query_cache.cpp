@@ -2,16 +2,25 @@
 
 namespace roads::core {
 
-std::shared_ptr<const CachedReply> QueryResultCache::find(std::uint64_t key) {
+void QueryResultCache::scope_to(std::uint64_t stamp) {
+  if (stamp == stamp_) return;
+  clear();
+  stamp_ = stamp;
+}
+
+std::shared_ptr<const CachedReply> QueryResultCache::find(std::uint64_t key,
+                                                          std::uint64_t stamp) {
+  scope_to(stamp);
   const auto it = index_.find(key);
   if (it == index_.end()) return nullptr;
   lru_.splice(lru_.begin(), lru_, it->second);
   return it->second->reply;
 }
 
-std::size_t QueryResultCache::insert(std::uint64_t key,
+std::size_t QueryResultCache::insert(std::uint64_t key, std::uint64_t stamp,
                                      std::shared_ptr<const CachedReply> reply) {
   if (max_entries_ == 0 || max_bytes_ == 0) return 0;
+  scope_to(stamp);
   const auto it = index_.find(key);
   if (it != index_.end()) {
     bytes_ -= it->second->reply->bytes();

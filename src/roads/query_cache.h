@@ -9,16 +9,23 @@
 // a slot. The child table and the replica store version their own
 // contents, and the server refolds their digests only when a version
 // has moved. A cached reply is keyed on (query digest, folded state
-// stamp), and any push, sweep or record mutation that moves a digest
-// silently invalidates exactly the affected entries — stale keys simply
-// stop matching and age out of the LRU (lazy invalidation; no walk over
-// entries is ever needed).
+// stamp), so any push, sweep or record mutation that moves a digest
+// moves the stamp and every key with it. The result cache keeps only
+// the current stamp's entries: a lookup or insert under a new stamp
+// drops everything stored under the old one. The stamp folds the store
+// version, which never decreases, so an older entry could only hit
+// again if the store stayed untouched and every child and replica
+// digest returned to an earlier value; keeping older states' entries
+// for that chance would fill the cache to its bound with entries that
+// almost never hit.
 //
 // The result cache is bounded by entries AND bytes with LRU eviction
 // (a Zipf-heavy tail of one-off queries cannot grow it unboundedly);
 // the negative cache remembers summary-prune misses (false-positive
 // redirects) under a TTL so fp storms — e.g. the scenario engine's
 // staleness attacks — are absorbed without occupying evaluation slots.
+// Its TTL and bound already retire dead keys, so it is not scoped to a
+// stamp.
 #pragma once
 
 #include <cstdint>
@@ -59,7 +66,8 @@ struct CachedReply {
   }
 };
 
-/// LRU cache of CachedReply keyed by the 64-bit (query, state) key.
+/// LRU cache of CachedReply keyed by the 64-bit (query, state) key,
+/// holding only the entries of one state stamp, the one the key folds.
 /// Entries are shared immutable objects so a hit being served stays
 /// valid even if the entry is evicted before the reply fires.
 /// Deterministic: eviction follows the recency list, never the hash
@@ -69,12 +77,16 @@ class QueryResultCache {
   QueryResultCache(std::size_t max_entries, std::uint64_t max_bytes)
       : max_entries_(max_entries), max_bytes_(max_bytes) {}
 
-  /// Looks up `key`, refreshing its recency on a hit.
-  std::shared_ptr<const CachedReply> find(std::uint64_t key);
+  /// Looks up `key` under state `stamp`, refreshing its recency on a
+  /// hit. A stamp other than the entries' drops them all first.
+  std::shared_ptr<const CachedReply> find(std::uint64_t key,
+                                          std::uint64_t stamp);
 
-  /// Inserts (or replaces) `key`, then evicts least-recently-used
-  /// entries until both bounds hold. Returns how many were evicted.
-  std::size_t insert(std::uint64_t key,
+  /// Inserts (or replaces) `key` under state `stamp`, after dropping
+  /// every entry of another stamp, then evicts least-recently-used
+  /// entries until both bounds hold. Returns how many were evicted;
+  /// entries dropped for their stamp do not count.
+  std::size_t insert(std::uint64_t key, std::uint64_t stamp,
                      std::shared_ptr<const CachedReply> reply);
 
   std::size_t size() const { return lru_.size(); }
@@ -86,8 +98,12 @@ class QueryResultCache {
     std::uint64_t key = 0;
     std::shared_ptr<const CachedReply> reply;
   };
+  /// Clears the cache unless its entries were stored under `stamp`.
+  void scope_to(std::uint64_t stamp);
+
   std::size_t max_entries_;
   std::uint64_t max_bytes_;
+  std::uint64_t stamp_ = 0;  // the stamp every entry was stored under
   std::uint64_t bytes_ = 0;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;

@@ -841,46 +841,53 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
   // miss is answered empty at lookup cost without occupying a slot, so
   // false-positive storms (stale summaries under a staleness attack)
   // cannot queue out genuine queries. Start-mode queries never false-
-  // positive, so only forwarded modes are checked.
-  if (config_.query_cache_enabled && mode != QueryMode::kStart &&
-      negative_cache_.contains(cache_key(*client, mode),
-                               network_.simulator().now())) {
-    // The empty false-positive reply an evaluation would send again.
-    static const auto kNegativeReply = [] {
-      auto reply = std::make_shared<CachedReply>();
-      reply->false_positive = true;
-      return std::shared_ptr<const CachedReply>(std::move(reply));
-    }();
-    cache_neg_hits_.inc();
-    network_.defer(id_, kQueryCacheHitDelay, "proc",
-                   [this, client] { send_reply(client, kNegativeReply); });
-    return;
+  // positive, so only forwarded modes are checked. The key checked here
+  // is the one a query admitted at once looks up.
+  const bool cached = config_.query_cache_enabled;
+  const bool forwarded = mode != QueryMode::kStart;
+  CacheKey key;
+  if (cached && forwarded) {
+    key = cache_key(*client, mode);
+    if (negative_cache_.contains(key.key, network_.simulator().now())) {
+      // The empty false-positive reply an evaluation would send again.
+      static const auto kNegativeReply = [] {
+        auto reply = std::make_shared<CachedReply>();
+        reply->false_positive = true;
+        return std::shared_ptr<const CachedReply>(std::move(reply));
+      }();
+      cache_neg_hits_.inc();
+      network_.defer(id_, kQueryCacheHitDelay, "proc",
+                     [this, client] { send_reply(client, kNegativeReply); });
+      return;
+    }
   }
 
   // Admission control. limit == 0 keeps the historical infinite-server
   // model: every query is admitted immediately (bit-identical replay).
+  // A queued query is keyed again when dequeued (finish_query), since
+  // the state can move while it waits, and a start-mode query is keyed
+  // only once admitted.
   const auto limit = config_.query_concurrency_limit;
-  if (limit == 0) {
-    begin_query(std::move(client), mode);
+  if (limit != 0 && active_queries_ >= limit) {
+    if (query_queue_.size() < config_.query_queue_limit) {
+      query_queue_.push_back(
+          QueuedQuery{std::move(client), mode, obs::current_trace_context()});
+    } else {
+      shed_query(client);
+    }
     return;
   }
-  if (active_queries_ < limit) {
-    ++active_queries_;
-    begin_query(std::move(client), mode);
-  } else if (query_queue_.size() < config_.query_queue_limit) {
-    query_queue_.push_back(
-        QueuedQuery{std::move(client), mode, obs::current_trace_context()});
-  } else {
-    shed_query(client);
-  }
+  if (limit != 0) ++active_queries_;
+  if (cached && !forwarded) key = cache_key(*client, mode);
+  begin_query(std::move(client), mode, key);
 }
 
 void RoadsServer::begin_query(std::shared_ptr<RoadsClient> client,
-                              QueryMode mode) {
+                              QueryMode mode, CacheKey key) {
   // The processing span opens at evaluation start so admission queueing
   // time is not attributed to per-hop processing.
   if (config_.query_cache_enabled) {
-    if (auto entry = query_cache_.find(cache_key(*client, mode))) {
+    if (auto entry = query_cache_.find(key.key, key.stamp)) {
       cache_hits_.inc();
       // A hit holds its slot only for the lookup/assembly delay — the
       // source of the cache's sustainable-QPS win.
@@ -992,9 +999,9 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   if (config_.query_cache_enabled) {
     const auto key = cache_key(*client, mode);
     if (reply->false_positive) {
-      negative_cache_.insert(key, network_.simulator().now());
+      negative_cache_.insert(key.key, network_.simulator().now());
     }
-    const auto evicted = query_cache_.insert(key, reply);
+    const auto evicted = query_cache_.insert(key.key, key.stamp, reply);
     if (evicted > 0) cache_evicted_.inc(evicted);
   }
   send_reply(client, std::move(reply));
@@ -1043,7 +1050,10 @@ void RoadsServer::finish_query() {
     // dequeued query resumes in the context it arrived under, not in
     // the finishing query's.
     const obs::ScopedTraceContext trace_scope(next.trace);
-    begin_query(std::move(next.client), next.mode);
+    const auto key = config_.query_cache_enabled
+                         ? cache_key(*next.client, next.mode)
+                         : CacheKey{};
+    begin_query(std::move(next.client), next.mode, key);
   }
 }
 
@@ -1055,16 +1065,17 @@ void RoadsServer::shed_query(const std::shared_ptr<RoadsClient>& client) {
                 });
 }
 
-std::uint64_t RoadsServer::cache_key(const RoadsClient& client,
-                                     QueryMode mode) const {
+RoadsServer::CacheKey RoadsServer::cache_key(const RoadsClient& client,
+                                             QueryMode mode) const {
+  const auto stamp = summary_state_stamp();
   util::Fnv1a h;
-  h.add(client.query().digest());
+  h.add(client.query_digest());
   h.add(static_cast<std::uint64_t>(mode));
   h.add(static_cast<std::uint64_t>(client.scope()));
   h.add(static_cast<std::uint64_t>(client.principal()));
   h.add(static_cast<std::uint64_t>(client.collect_results() ? 1 : 0));
-  h.add(summary_state_stamp());
-  return h.value();
+  h.add(stamp);
+  return {stamp, h.value()};
 }
 
 std::uint64_t RoadsServer::summary_state_stamp() const {

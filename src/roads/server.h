@@ -150,6 +150,7 @@ class RoadsServer : public QueryTarget {
 
   /// Admission/cache introspection (benchmark probes).
   std::size_t queued_queries() const { return query_queue_.size(); }
+  std::size_t query_cache_entries() const { return query_cache_.size(); }
   std::uint64_t query_cache_bytes() const { return query_cache_.bytes(); }
 
  private:
@@ -204,10 +205,17 @@ class RoadsServer : public QueryTarget {
   void rejoin(std::vector<sim::NodeId> candidates);
 
   // --- Query serving internals (admission + caching) ------------------------
-  /// Starts serving an admitted query: cache lookup decides whether the
-  /// evaluation slot is held for the hit delay or the full processing
-  /// delay.
-  void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode);
+  /// A query's result-cache key and the summary-state stamp it folds,
+  /// computed together so a lookup folds the state once.
+  struct CacheKey {
+    std::uint64_t stamp = 0;
+    std::uint64_t key = 0;
+  };
+  /// Starts serving an admitted query: cache lookup under `key` (read
+  /// only when the cache is on) decides whether the evaluation slot is
+  /// held for the hit delay or the full processing delay.
+  void begin_query(std::shared_ptr<RoadsClient> client, QueryMode mode,
+                   CacheKey key);
   /// The cold evaluation (local store + attachments + child summaries +
   /// overlay shortcuts), cache fill, and reply send. Runs inside the
   /// processing-delay event under its `proc` span.
@@ -224,8 +232,10 @@ class RoadsServer : public QueryTarget {
   /// Sheds `client` with an immediate overload reply.
   void shed_query(const std::shared_ptr<RoadsClient>& client);
   /// Cache key: query digest folded with mode, client scope/principal/
-  /// collect flag and the current summary-state stamp.
-  std::uint64_t cache_key(const RoadsClient& client, QueryMode mode) const;
+  /// collect flag and the current summary-state stamp, returned with
+  /// that stamp. Called only with the cache on: each call may refold
+  /// the state and count roads.query.cache.invalidate.
+  CacheKey cache_key(const RoadsClient& client, QueryMode mode) const;
   /// Fingerprint of every input a query evaluation reads: live store +
   /// owner-store versions plus the fold of the memoized child-summary
   /// and replica digests, refolded only when the child table's or the

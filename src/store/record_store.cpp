@@ -46,6 +46,19 @@ void RecordStore::insert_all(const RecordStore& other) {
       throw std::invalid_argument("RecordStore: duplicate record id");
     }
   }
+  // Exact-size columns: a bulk load is usually a server's whole store,
+  // and doubling growth would leave up to half of each column unused.
+  const auto total = ids_.size() + other.ids_.size();
+  ids_.reserve(total);
+  owners_.reserve(total);
+  slots_.reserve(total);
+  for (std::size_t a = 0; a < columns_.size(); ++a) {
+    if (is_numeric(schema_.at(a))) {
+      columns_[a].numbers.reserve(total);
+    } else {
+      columns_[a].categories.reserve(total);
+    }
+  }
   for (const auto from : other.id_order()) {
     const auto slot = static_cast<std::uint32_t>(ids_.size());
     slots_.emplace(other.ids_[from], slot);

@@ -54,7 +54,8 @@ class RecordStore {
   void insert(record::ResourceRecord record);
 
   /// Inserts every record of `other`, in ascending id order, without
-  /// building them: the same as inserting other.snapshot() one by one.
+  /// building them: the same as inserting other.snapshot() one by one,
+  /// except that the columns are sized to the final count first.
   /// Throws std::invalid_argument when the schemas differ in shape or an
   /// id is already stored (before inserting anything).
   void insert_all(const RecordStore& other);

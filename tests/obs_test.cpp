@@ -1,8 +1,9 @@
 // Tests for the observability layer: registry semantics and thread
-// safety, histogram correctness against util::Samples, trace buffer
+// safety, histogram buckets and the bucket-quantile rule, trace buffer
 // bounds and span filtering, and the exporters' exact output shapes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <limits>
@@ -16,7 +17,6 @@
 #include "obs/probes.h"
 #include "obs/timeline.h"
 #include "obs/trace.h"
-#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace roads {
@@ -51,19 +51,55 @@ TEST(Histogram, BucketCountsMatchBounds) {
   EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 5.0 + 50.0 + 500.0);
 }
 
-TEST(Histogram, QuantilesAgreeWithSamples) {
-  obs::Histogram h(obs::default_latency_buckets());
-  util::Samples samples;
+// The one bucket-quantile rule, against hand-computed interpolation.
+// Buckets (0,10], (10,20], (20,40] and the overflow hold 4, 2, 2 and 2
+// samples: the q-th share of 10 samples lands in one bucket, and the
+// rule interpolates linearly inside it.
+TEST(BucketQuantile, InterpolatesInsideTheBucketHoldingTheQuantile) {
+  const std::vector<double> bounds{10.0, 20.0, 40.0};
+  const std::vector<std::uint64_t> counts{4, 2, 2, 2};
+  // q = 0 reads the first bucket's lower edge, min(0, bounds[0]).
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 0.0), 0.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 0.2), 5.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 0.4), 10.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 0.5), 15.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 0.7), 30.0);
+  // The overflow bucket has no upper edge: it reads the last bound.
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 0.9), 40.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, counts, 1.0), 40.0);
+  // Without overflow, q = 1 reads the upper edge of the last non-empty
+  // bucket, and an empty bucket in the middle is skipped.
+  const std::vector<std::uint64_t> gapped{1, 0, 1, 0};
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, gapped, 0.5), 10.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, gapped, 0.75), 30.0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, gapped, 1.0), 40.0);
+  // No samples: 0 at every q.
+  const std::vector<std::uint64_t> empty(4, 0);
+  EXPECT_DOUBLE_EQ(obs::bucket_quantile(bounds, empty, 0.5), 0.0);
+}
+
+// Histogram::quantile keeps no samples: it is the bucket rule over its
+// own buckets, clamped to the recorded [min, max].
+TEST(Histogram, QuantileIsTheBucketRuleClampedToMinMax) {
+  obs::Histogram h({10.0, 20.0, 40.0});
   // Deliberately unsorted insertion order.
-  for (const double x : {9.0, 1.0, 7.0, 3.0, 5.0, 2.0, 8.0, 4.0, 6.0, 10.0}) {
+  for (const double x : {55.0, 3.0, 25.0, 12.0, 31.0, 14.0, 7.0, 90.0}) {
     h.record(x);
-    samples.add(x);
   }
-  EXPECT_DOUBLE_EQ(h.quantile(0.5), samples.percentile(50.0));
-  EXPECT_DOUBLE_EQ(h.quantile(0.9), samples.percentile(90.0));
-  EXPECT_DOUBLE_EQ(h.quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
-  EXPECT_DOUBLE_EQ(h.mean(), 5.5);
+  const auto rule = [&](double q) {
+    return obs::bucket_quantile(h.bounds(), h.bucket_counts(), q);
+  };
+  for (const double q : {0.0, 0.1, 0.25, 0.5, 0.6, 0.9, 0.99, 1.0}) {
+    EXPECT_DOUBLE_EQ(h.quantile(q), std::clamp(rule(q), h.min(), h.max()))
+        << "q=" << q;
+  }
+  // Buckets hold 2, 2, 2 and 2: the median is the (10,20] bucket's
+  // upper edge, q = 0 clamps up to the minimum, and q = 1 reads the
+  // last bound (the overflow bucket has no upper edge).
+  EXPECT_DOUBLE_EQ(h.quantile(0.5), 20.0);
+  EXPECT_DOUBLE_EQ(h.quantile(0.0), 3.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 40.0);
+  EXPECT_DOUBLE_EQ(h.mean(), (55.0 + 3 + 25 + 12 + 31 + 14 + 7 + 90) / 8);
 }
 
 // The documented windowing contract: take() cuts metering windows

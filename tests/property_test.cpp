@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <memory>
 #include <optional>
+#include <set>
 #include <tuple>
 
 #include "exp/deployment.h"
@@ -352,6 +353,71 @@ TEST_P(CacheSoundnessSweep, ChildLeaveInvalidatesAtParent) {
             checked.contacted.end())
       << "parent still routed to its departed child";
   EXPECT_EQ(checked.matching_records, before.matching_records - child_matches);
+}
+
+// The cache holds only the current state's entries. Between rounds of
+// repeated queries one server's store is rewritten with the same
+// values: its version, and so its stamp, moves, while every summary
+// (and so every other server's stamp) stays as it was. A server drops
+// its old entries at its first lookup after its stamp moved, so from
+// then on it holds at most one entry per query it has seen since, and
+// a query misses exactly where it was not seen since.
+TEST_P(CacheSoundnessSweep, CacheHoldsOnlyTheCurrentStampsEntries) {
+  Build();
+  const auto seed = GetParam();
+  workload::QueryGenerator qgen(dep_->schema(), dep_->spec(), seed ^ 0x57a3);
+  util::Rng pick(seed ^ 0xcafe);
+  struct Probe {
+    record::Query query;
+    sim::NodeId start;
+  };
+  std::vector<Probe> probes;
+  for (int i = 0; i < 5; ++i) {
+    probes.push_back({qgen.generate(2, 0.4),
+                      static_cast<sim::NodeId>(pick.uniform_int(
+                          0, static_cast<std::int64_t>(kNodes) - 1))});
+  }
+  // Per server: the probes it has looked up since its stamp last moved,
+  // and whether it has looked anything up since (its entries are
+  // dropped only then).
+  std::vector<std::set<std::size_t>> seen(kNodes);
+  std::vector<bool> looked_up(kNodes, true);
+  std::size_t entries_checked = 0;
+  for (int round = 0; round < 6; ++round) {
+    for (int repeat = 0; repeat < 2; ++repeat) {
+      for (std::size_t i = 0; i < probes.size(); ++i) {
+        const auto misses0 = counter("roads.query.cache.miss");
+        const auto served0 = hits() + counter("roads.query.cache.neg_hit");
+        const auto out = fed_->run_query(probes[i].query, probes[i].start);
+        ASSERT_TRUE(out.complete);
+        std::uint64_t unseen = 0;
+        for (const auto n : out.contacted) {
+          unseen += seen[n].count(i) == 0 ? 1 : 0;
+          seen[n].insert(i);
+          looked_up[n] = true;
+        }
+        EXPECT_EQ(counter("roads.query.cache.miss") - misses0, unseen)
+            << "round " << round << " probe " << i;
+        EXPECT_EQ(hits() + counter("roads.query.cache.neg_hit") - served0,
+                  out.contacted.size() - unseen)
+            << "round " << round << " probe " << i;
+        for (sim::NodeId n = 0; n < kNodes; ++n) {
+          if (!looked_up[n]) continue;
+          EXPECT_LE(fed_->server(n).query_cache_entries(), seen[n].size())
+              << "server " << n << " round " << round;
+          ++entries_checked;
+        }
+      }
+    }
+    // Rewrite one record of one server with its own values.
+    const auto n = static_cast<sim::NodeId>(
+        pick.uniform_int(0, static_cast<std::int64_t>(kNodes) - 1));
+    auto& store = fed_->server(n).local_store();
+    store.update(store.snapshot().front());
+    seen[n].clear();
+    looked_up[n] = false;
+  }
+  EXPECT_GT(entries_checked, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CacheSoundnessSweep,

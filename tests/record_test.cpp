@@ -3,6 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <memory>
+#include <string>
+#include <utility>
+#include <variant>
 
 #include "record/query.h"
 #include "record/record.h"
@@ -58,6 +62,98 @@ TEST(AttributeValue, Equality) {
 TEST(AttributeValue, ToString) {
   EXPECT_EQ(AttributeValue(std::string("x")).to_string(), "x");
   EXPECT_FALSE(AttributeValue(2.5).to_string().empty());
+}
+
+// A value is a double and one owning pointer; a record stays a 40-byte
+// header around its value vector.
+static_assert(sizeof(AttributeValue) == 16);
+static_assert(sizeof(ResourceRecord) == 40);
+
+TEST(AttributeValue, DefaultIsNumericZero) {
+  const AttributeValue v;
+  EXPECT_TRUE(v.is_numeric());
+  EXPECT_EQ(v.type(), AttributeType::kNumeric);
+  EXPECT_DOUBLE_EQ(v.number(), 0.0);
+  EXPECT_EQ(v, AttributeValue(0.0));
+  EXPECT_THROW(v.category(), std::bad_variant_access);
+  EXPECT_EQ(v.wire_size(), 8u);
+}
+
+TEST(AttributeValue, CopiedCategoryOutlivesItsSource) {
+  // Longer than any small-string buffer, so the string owns heap bytes.
+  const std::string name = "camera-feed-with-a-name-past-the-sso-limit";
+  auto source = std::make_unique<AttributeValue>(name);
+  const AttributeValue copied(*source);
+  AttributeValue assigned(1.5);
+  assigned = *source;
+  EXPECT_NE(copied.category().data(), source->category().data())
+      << "a copy must own its own string";
+  EXPECT_NE(assigned.category().data(), source->category().data());
+  source.reset();
+  EXPECT_EQ(copied.category(), name);
+  EXPECT_EQ(assigned.category(), name);
+  EXPECT_EQ(assigned.type(), AttributeType::kCategorical);
+  EXPECT_EQ(assigned.wire_size(), name.size() + 1);
+
+  // Copying over a categorical value with a numeric one drops the string.
+  assigned = AttributeValue(2.5);
+  EXPECT_TRUE(assigned.is_numeric());
+  EXPECT_DOUBLE_EQ(assigned.number(), 2.5);
+  // Self-assignment keeps the value.
+  AttributeValue self(std::string("self"));
+  const AttributeValue& alias = self;
+  self = alias;
+  EXPECT_EQ(self.category(), "self");
+}
+
+TEST(AttributeValue, MovesLeaveTheDocumentedSourceState) {
+  AttributeValue cat(std::string("gpu-node"));
+  const AttributeValue moved(std::move(cat));
+  EXPECT_EQ(moved.category(), "gpu-node");
+  // A moved-from categorical value is numeric 0.0.
+  EXPECT_TRUE(cat.is_numeric());  // NOLINT(bugprone-use-after-move)
+  EXPECT_DOUBLE_EQ(cat.number(), 0.0);
+  EXPECT_EQ(cat, AttributeValue(0.0));
+  EXPECT_THROW(cat.category(), std::bad_variant_access);
+
+  // A moved-from numeric value keeps its number.
+  AttributeValue num(4.25);
+  AttributeValue target(std::string("overwritten"));
+  target = std::move(num);
+  EXPECT_TRUE(target.is_numeric());
+  EXPECT_DOUBLE_EQ(target.number(), 4.25);
+  EXPECT_DOUBLE_EQ(num.number(), 4.25);  // NOLINT(bugprone-use-after-move)
+
+  // Move-assigning a categorical value over a numeric one.
+  AttributeValue into(9.0);
+  AttributeValue from(std::string("disk"));
+  into = std::move(from);
+  EXPECT_EQ(into.category(), "disk");
+  EXPECT_TRUE(from.is_numeric());  // NOLINT(bugprone-use-after-move)
+}
+
+TEST(AttributeValue, EqualityNeverCrossesKinds) {
+  // The numeric payload of a categorical value must not leak into
+  // equality: "" and 0.0 are different kinds.
+  EXPECT_NE(AttributeValue(0.0), AttributeValue(std::string("")));
+  EXPECT_NE(AttributeValue(std::string("")), AttributeValue(0.0));
+  EXPECT_NE(AttributeValue(), AttributeValue(std::string()));
+  EXPECT_EQ(AttributeValue(std::string("cam")),
+            AttributeValue(std::string("cam")));
+  EXPECT_NE(AttributeValue(std::string("cam")),
+            AttributeValue(std::string("disk")));
+  // Doubles compare as doubles: -0.0 == 0.0, NaN equals nothing.
+  EXPECT_EQ(AttributeValue(-0.0), AttributeValue(0.0));
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(AttributeValue(nan), AttributeValue(nan));
+}
+
+TEST(AttributeValue, RecordWireSizeUnchanged) {
+  // 16-byte header, then a 2-byte tag and the payload per value.
+  const auto r = camera(1, "MPEG2", 30.0, 1080.0);
+  EXPECT_EQ(r.wire_size(), 16u + (2 + 6) + 3 * (2 + 8));
+  EXPECT_EQ(ResourceRecord(2, 0, std::vector<AttributeValue>(16)).wire_size(),
+            176u);
 }
 
 // --- Schema ---

@@ -20,6 +20,7 @@
 #include "sim/fault.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
+#include "util/rng.h"
 
 namespace roads {
 namespace {
@@ -414,19 +415,24 @@ TEST(FederationChurn, QueriesStillResolveAfterFailure) {
 
 // --- Serving path: result cache containers and admission control ---
 
+// Every entry of these two tests is stored under one state stamp.
+constexpr std::uint64_t kStamp = 7;
+
 TEST(QueryResultCacheBounds, EntryLimitEvictsLeastRecentlyUsed) {
   core::QueryResultCache cache(/*max_entries=*/3, /*max_bytes=*/1 << 20);
   for (std::uint64_t k = 1; k <= 3; ++k) {
-    EXPECT_EQ(cache.insert(k, std::make_shared<core::CachedReply>()), 0u);
+    EXPECT_EQ(cache.insert(k, kStamp, std::make_shared<core::CachedReply>()),
+              0u);
   }
   // Touch key 1 so key 2 becomes the LRU victim.
-  EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.insert(4, std::make_shared<core::CachedReply>()), 1u);
+  EXPECT_NE(cache.find(1, kStamp), nullptr);
+  EXPECT_EQ(cache.insert(4, kStamp, std::make_shared<core::CachedReply>()),
+            1u);
   EXPECT_EQ(cache.size(), 3u);
-  EXPECT_NE(cache.find(1), nullptr);
-  EXPECT_EQ(cache.find(2), nullptr) << "LRU victim survived";
-  EXPECT_NE(cache.find(3), nullptr);
-  EXPECT_NE(cache.find(4), nullptr);
+  EXPECT_NE(cache.find(1, kStamp), nullptr);
+  EXPECT_EQ(cache.find(2, kStamp), nullptr) << "LRU victim survived";
+  EXPECT_NE(cache.find(3, kStamp), nullptr);
+  EXPECT_NE(cache.find(4, kStamp), nullptr);
 }
 
 TEST(QueryResultCacheBounds, ByteLimitEvictsButKeepsNewestEntry) {
@@ -434,19 +440,62 @@ TEST(QueryResultCacheBounds, ByteLimitEvictsButKeepsNewestEntry) {
   // directly. A 150-byte budget holds two small entries at most.
   core::QueryResultCache cache(/*max_entries=*/64, /*max_bytes=*/150);
   const auto small = std::make_shared<core::CachedReply>();
-  EXPECT_EQ(cache.insert(1, small), 0u);
-  EXPECT_EQ(cache.insert(2, small), 0u);
-  EXPECT_EQ(cache.insert(3, small), 1u) << "byte bound did not evict";
+  EXPECT_EQ(cache.insert(1, kStamp, small), 0u);
+  EXPECT_EQ(cache.insert(2, kStamp, small), 0u);
+  EXPECT_EQ(cache.insert(3, kStamp, small), 1u) << "byte bound did not evict";
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.find(1), nullptr);
+  EXPECT_EQ(cache.find(1, kStamp), nullptr);
 
   // An entry larger than the whole budget still caches (the just-
   // inserted entry is never evicted) after clearing everything else.
   auto huge = std::make_shared<core::CachedReply>();
   huge->record_bytes = 1000;
-  EXPECT_EQ(cache.insert(4, huge), 2u);
+  EXPECT_EQ(cache.insert(4, kStamp, huge), 2u);
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_NE(cache.find(4), nullptr);
+  EXPECT_NE(cache.find(4, kStamp), nullptr);
+}
+
+// The result cache against a reference model: an unbounded set of
+// (key, stamp) pairs that empties whenever a lookup or insert names a
+// stamp other than the last one. Stamps recur here, as they would if
+// every child and replica digest returned to an earlier value with the
+// store untouched, so a cache that skipped the clear on a lookup would
+// still hold, and hit, an entry the model dropped.
+TEST(QueryResultCacheStamp, HitsFollowAModelScopedToTheCurrentStamp) {
+  core::QueryResultCache cache(/*max_entries=*/1 << 20,
+                               /*max_bytes=*/std::uint64_t{1} << 40);
+  std::set<std::pair<std::uint64_t, std::uint64_t>> model;
+  std::uint64_t model_stamp = 0;
+  util::Rng rng(11);
+  std::uint64_t stamp = 1;
+  std::size_t hits = 0;
+  std::size_t misses = 0;
+  for (int op = 0; op < 5000; ++op) {
+    // The state moves now and then, often back to an earlier stamp.
+    if (rng.bernoulli(0.1)) {
+      stamp = static_cast<std::uint64_t>(rng.uniform_int(1, 4));
+    }
+    // A key folds its stamp, as RoadsServer::cache_key does.
+    const auto query = static_cast<std::uint64_t>(rng.uniform_int(0, 7));
+    const std::uint64_t key = query * 16 + stamp;
+    if (stamp != model_stamp) {
+      model.clear();
+      model_stamp = stamp;
+    }
+    if (rng.bernoulli(0.5)) {
+      const bool hit = cache.find(key, stamp) != nullptr;
+      ASSERT_EQ(hit, model.count({key, stamp}) > 0) << "op " << op;
+      ++(hit ? hits : misses);
+    } else {
+      EXPECT_EQ(cache.insert(key, stamp, std::make_shared<core::CachedReply>()),
+                0u);
+      model.emplace(key, stamp);
+    }
+    ASSERT_EQ(cache.size(), model.size()) << "op " << op;
+    ASSERT_EQ(cache.bytes(), 64 * model.size()) << "op " << op;
+  }
+  EXPECT_GT(hits, 500u);
+  EXPECT_GT(misses, 500u);
 }
 
 TEST(NegativeCacheTtl, EntriesExpireAndRefresh) {

@@ -321,6 +321,51 @@ TEST(RecordStore, InsertAllMatchesInsertingTheSnapshot) {
   EXPECT_TRUE(numeric.empty());
 }
 
+// Categorical values own heap strings; each store path that builds or
+// takes records must carry them whole: insert, get, snapshot, update.
+TEST(RecordStore, CategoricalRecordsRoundTrip) {
+  const std::string long_site = "site-name-longer-than-any-small-string-buffer";
+  RecordStore store(mixed_schema());
+  {
+    ResourceRecord r(5, 2,
+                     {AttributeValue(0.25), AttributeValue(std::string("cam")),
+                      AttributeValue(0.5), AttributeValue(0.75),
+                      AttributeValue(long_site)});
+    store.insert(r);  // by copy: the caller's record stays intact
+    EXPECT_EQ(r.value(4).category(), long_site);
+  }
+  store.insert(ResourceRecord(
+      3, 1,
+      {AttributeValue(1.0), AttributeValue(std::string("disk")),
+       AttributeValue(0.0), AttributeValue(0.5), AttributeValue(std::string())}));
+  const auto got = store.get(5);
+  EXPECT_EQ(got.owner(), 2u);
+  EXPECT_EQ(got.value(1).category(), "cam");
+  EXPECT_EQ(got.value(4).category(), long_site);
+  EXPECT_DOUBLE_EQ(got.value(3).number(), 0.75);
+  EXPECT_EQ(store.wire_size(5), got.wire_size());
+
+  const auto all = store.snapshot();
+  ASSERT_EQ(all.size(), 2u);
+  EXPECT_EQ(all[0].id(), 3u);
+  EXPECT_EQ(all[0].value(1).category(), "disk");
+  EXPECT_EQ(all[0].value(4).category(), "");
+  EXPECT_EQ(all[1].values(), got.values());
+
+  // The churn rewrite round trip: get, set one value, update.
+  auto edited = store.get(5);
+  edited.set_value(1, AttributeValue(std::string("gpu-node")));
+  edited.set_value(0, AttributeValue(0.125));
+  store.update(edited);
+  const auto after = store.get(5);
+  EXPECT_EQ(after.values(), edited.values());
+  EXPECT_EQ(after.value(4).category(), long_site);
+  EXPECT_EQ(store.query(Query({Predicate::equals(1, "gpu-node")})),
+            (std::vector<record::RecordId>{5}));
+  EXPECT_TRUE(store.query(Query({Predicate::equals(1, "cam")})).empty());
+  EXPECT_EQ(store.stored_bytes(), after.wire_size() + all[0].wire_size());
+}
+
 std::vector<Query> probe_queries(util::Rng& rng,
                                  const std::map<record::RecordId,
                                                 ResourceRecord>& model) {
