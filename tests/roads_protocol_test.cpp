@@ -12,6 +12,8 @@
 #include "roads/messages.h"
 #include "sim/fault.h"
 #include "testing/invariants.h"
+#include "util/hash.h"
+#include "util/rng.h"
 
 namespace roads {
 namespace {
@@ -627,6 +629,124 @@ TEST(Protocol, RestartRacingPendingHeartbeatTimer) {
   }
   EXPECT_EQ(roots, 1u);
   expect_invariants(fed);
+}
+
+// --- Replay golden: attachments, re-export and owner replies ---
+
+// What one attachment replay leaves behind: the network's event digest
+// and a fold of every query outcome's latency, response time, matches,
+// result bytes and query bytes.
+struct AttachmentReplay {
+  std::uint64_t events = 0;
+  std::uint64_t outcomes = 0;
+};
+
+// A 12-server federation with maintenance and result collection on,
+// and every attachment kind: a remote summary-only owner with a sharing
+// policy on every third server, a co-located summary-only owner on
+// server 1 and a detailed owner on each other server. Ten queries from
+// rotating start servers under two principals run before and after one
+// detailed and one remote summary-only owner change their records and
+// are re-exported, with three refresh periods in between.
+AttachmentReplay attachment_replay(std::uint64_t seed, std::size_t threads) {
+  constexpr std::size_t kServers = 12;
+  FederationParams params;
+  params.schema = record::Schema::uniform_numeric(2);
+  params.seed = seed;
+  params.threads = threads;
+  params.config.max_children = 3;
+  params.config.summary.histogram_buckets = 32;
+  params.config.summary_refresh_period = sim::seconds(10);
+  params.config.summary_ttl = sim::seconds(35);
+  params.config.maintenance_enabled = true;
+  params.config.heartbeat_period = sim::seconds(5);
+  params.config.collect_results = true;
+  Federation fed(std::move(params));
+  fed.add_servers(kServers);
+
+  util::Rng values(seed ^ 0x0a77);
+  record::RecordId next_id = 1;
+  const auto add_record = [&](core::ResourceOwner& owner) {
+    owner.store().insert(record::ResourceRecord(
+        next_id++, owner.id(),
+        {record::AttributeValue(values.uniform(0.0, 1.0)),
+         record::AttributeValue(values.uniform(0.0, 1.0))}));
+  };
+  // Principal 2 sees only even record ids at a remote owner.
+  const core::SharingPolicy even_ids_for_2 =
+      [](core::Principal p, const record::ResourceRecord& r) {
+        return p != 2 || r.id() % 2 == 0;
+      };
+  std::vector<std::shared_ptr<core::ResourceOwner>> owners(kServers);
+  for (sim::NodeId n = 0; n < kServers; ++n) {
+    const bool remote = n % 3 == 0;
+    const auto mode = remote || n == 1 ? ExportMode::kSummaryOnly
+                                       : ExportMode::kDetailedRecords;
+    owners[n] = fed.add_owner(n, mode, /*colocated=*/!remote);
+    if (remote) owners[n]->set_policy(even_ids_for_2);
+    for (int r = 0; r < 6; ++r) add_record(*owners[n]);
+    fed.server(n).attach_owner(owners[n], mode);
+  }
+  fed.start();
+  fed.stabilize();
+
+  util::Fnv1a fold;
+  util::Rng pick(seed ^ 0x9e75);
+  const auto run_queries = [&](std::size_t round) {
+    for (std::size_t i = 0; i < 10; ++i) {
+      record::Query q;
+      const double lo = pick.uniform(0.0, 0.7);
+      q.add(record::Predicate::range(0, lo, lo + 0.3));
+      q.add(record::Predicate::range(1, 0.1, 0.9));
+      const auto start = static_cast<sim::NodeId>((round * 3 + i * 5) % kServers);
+      const auto out = fed.run_query(q, start, core::Principal(1 + i % 2));
+      fold.add(out.latency_ms);
+      fold.add(out.response_ms);
+      fold.add(static_cast<std::uint64_t>(out.matching_records));
+      fold.add(out.result_bytes);
+      fold.add(out.query_bytes);
+    }
+  };
+  run_queries(0);
+
+  // Server 2 holds a detailed owner, server 3 a remote summary-only
+  // one: rewrite one record and add one at each, then re-export.
+  for (const sim::NodeId n : {sim::NodeId{2}, sim::NodeId{3}}) {
+    auto& store = owners[n]->store();
+    auto changed = store.snapshot().front();
+    changed.set_value(0, record::AttributeValue(values.uniform(0.0, 1.0)));
+    store.update(changed);
+    add_record(*owners[n]);
+    fed.server(n).reexport_owner(owners[n]->id());
+  }
+  fed.advance(3 * fed.config().summary_refresh_period);
+  run_queries(1);
+  return {fed.network().event_digest(), fold.value()};
+}
+
+// Pins the attachment, re-export and owner-reply paths bit for bit at
+// one and four engine threads: a change to how an owner's export is
+// charged, how a server re-exports, or when a remote owner's reply and
+// result batch go out moves these digests.
+TEST(Protocol, AttachmentReplayMatchesGoldens) {
+  constexpr AttachmentReplay kGoldens[8] = {
+      {0x2334622ac32f1dfdull, 0x10b6dbb4bd7cafcfull},
+      {0x166c6ff52e2cf442ull, 0x9f4b45d15b5a29b7ull},
+      {0x8a1baa4bb71ba8e4ull, 0x5ccbb0d89310fcb7ull},
+      {0x2845ae8028cc7776ull, 0x170f52e75cb6ba5dull},
+      {0x39b572a807a85cb0ull, 0xd7a4986bc2c2dfe8ull},
+      {0x248db229ee439070ull, 0xf8b36f6cbddbcb7eull},
+      {0x7a598a65cd1b8dc2ull, 0x7073548cf93996f7ull},
+      {0xdc79587536ad1393ull, 0x64c55539935d76ffull}};
+  for (std::uint64_t seed = 0; seed < 8; ++seed) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+      const auto got = attachment_replay(3100 + seed, threads);
+      EXPECT_EQ(got.events, kGoldens[seed].events)
+          << "seed " << 3100 + seed << " threads " << threads;
+      EXPECT_EQ(got.outcomes, kGoldens[seed].outcomes)
+          << "seed " << 3100 + seed << " threads " << threads;
+    }
+  }
 }
 
 }  // namespace
