@@ -86,8 +86,9 @@ struct RoadsConfig {
 
   // --- Digest-keyed result caching -----------------------------------------
   /// Per-server query-result cache keyed on (query digest, folded
-  /// summary-state digest), plus a negative cache of summary-prune
-  /// misses; bounds and hit delay are constants in roads/server.cpp.
+  /// summary-state digest), whose summary-prune misses also answer
+  /// repeats before admission (negative hits); bounds and hit delay
+  /// are constants in roads/server.cpp.
   /// Off by default: caching changes message timing, so the existing
   /// goldens only hold with it disabled.
   bool query_cache_enabled = false;

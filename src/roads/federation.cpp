@@ -20,38 +20,27 @@ class Federation::OwnerAgent : public QueryTarget {
                     QueryMode /*mode*/) override {
     const auto node = owner_->node();
     client->on_arrival(node);
-    auto& network = federation_.network_;
     // Same span discipline as RoadsServer::handle_query: processing
-    // opens at arrival, retrieval is its own service span.
-    network.defer(
+    // opens at arrival, and send_query_reply opens the service span.
+    federation_.network_.defer(
         node, federation_.config_.query_processing_delay, "proc",
-        [this, client, node, &network] {
-          auto records = owner_->answer(client->principal(), client->query());
-          const std::size_t matches = records.size();
-          const bool results_pending = client->collect_results() && matches > 0;
-          network.send(node, client->location(), msg::redirect_reply(0),
-                       sim::Channel::kQuery,
-                       [client, node, matches, results_pending] {
-                         client->on_reply(node, {}, matches, results_pending);
-                       });
-          if (!results_pending) return;
-          std::uint64_t bytes = 0;
-          for (const auto& r : records) bytes += r.wire_size();
-          store::QueryStats stats;
-          stats.candidates_scanned = owner_->store().size();
-          stats.matches = matches;
-          const auto service = store::service_time_us(
-              federation_.config_.service_model, stats, bytes);
-          network.defer(
-              node, service, "service",
-              [client, node, bytes, records = std::move(records),
-               &network]() mutable {
-                network.send(node, client->location(), msg::results(bytes),
-                             sim::Channel::kResult,
-                             [client, node, records = std::move(records)] {
-                               client->on_results(node, records);
-                             });
-              });
+        [this, client, node] {
+          auto reply = std::make_shared<CachedReply>();
+          reply->records = owner_->answer(client->principal(), client->query());
+          reply->local_matches = reply->records.size();
+          reply->results_pending =
+              client->collect_results() && reply->local_matches > 0;
+          if (reply->results_pending) {
+            for (const auto& r : reply->records) {
+              reply->record_bytes += r.wire_size();
+            }
+            const store::QueryStats stats{owner_->store().size(),
+                                          reply->local_matches};
+            reply->service_us = store::service_time_us(
+                federation_.config_.service_model, stats, reply->record_bytes);
+          }
+          send_query_reply(federation_.network_, node, client,
+                           std::move(reply));
         });
   }
 

@@ -52,38 +52,4 @@ void QueryResultCache::clear() {
   bytes_ = 0;
 }
 
-void NegativeCache::expire(sim::Time now) {
-  while (!order_.empty() && now - order_.front().second > ttl_) {
-    index_.erase(order_.front().first);
-    order_.pop_front();
-  }
-}
-
-bool NegativeCache::contains(std::uint64_t key, sim::Time now) {
-  expire(now);
-  return index_.count(key) > 0;
-}
-
-void NegativeCache::insert(std::uint64_t key, sim::Time now) {
-  if (max_entries_ == 0) return;
-  expire(now);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    it->second->second = now;
-    order_.splice(order_.end(), order_, it->second);
-    return;
-  }
-  while (index_.size() >= max_entries_) {
-    index_.erase(order_.front().first);
-    order_.pop_front();
-  }
-  order_.emplace_back(key, now);
-  index_[key] = std::prev(order_.end());
-}
-
-void NegativeCache::clear() {
-  order_.clear();
-  index_.clear();
-}
-
 }  // namespace roads::core

@@ -20,12 +20,13 @@
 // almost never hit.
 //
 // The result cache is bounded by entries AND bytes with LRU eviction
-// (a Zipf-heavy tail of one-off queries cannot grow it unboundedly);
-// the negative cache remembers summary-prune misses (false-positive
-// redirects) under a TTL so fp storms — e.g. the scenario engine's
-// staleness attacks — are absorbed without occupying evaluation slots.
-// Its TTL and bound already retire dead keys, so it is not scoped to a
-// stamp.
+// (a Zipf-heavy tail of one-off queries cannot grow it unboundedly).
+// It also serves negative hits: a forwarded arrival whose entry is a
+// summary-prune miss (a false-positive redirect) is answered before
+// admission without occupying an evaluation slot, so fp storms — e.g.
+// the scenario engine's staleness attacks — cannot queue out genuine
+// queries. Such an entry needs no TTL of its own: it is dropped with
+// its stamp, as soon as a repeat could evaluate differently.
 #pragma once
 
 #include <cstdint>
@@ -107,36 +108,6 @@ class QueryResultCache {
   std::uint64_t bytes_ = 0;
   std::list<Entry> lru_;  // front = most recent
   std::unordered_map<std::uint64_t, std::list<Entry>::iterator> index_;
-};
-
-/// Bounded TTL'd set of (query, state) keys that evaluated to a
-/// summary-prune miss. Entries expire `ttl` after their last refresh;
-/// expiry and capacity eviction both walk the insertion-order list, so
-/// behaviour is independent of hash iteration order.
-class NegativeCache {
- public:
-  NegativeCache(std::size_t max_entries, sim::Time ttl)
-      : max_entries_(max_entries), ttl_(ttl) {}
-
-  /// True when `key` is present and fresh at `now` (prunes expired
-  /// entries from the front of the age list on the way).
-  bool contains(std::uint64_t key, sim::Time now);
-
-  /// Remembers `key` at `now` (refreshes an existing entry).
-  void insert(std::uint64_t key, sim::Time now);
-
-  std::size_t size() const { return index_.size(); }
-  void clear();
-
- private:
-  void expire(sim::Time now);
-
-  std::size_t max_entries_;
-  sim::Time ttl_;
-  std::list<std::pair<std::uint64_t, sim::Time>> order_;  // oldest first
-  std::unordered_map<std::uint64_t,
-                     std::list<std::pair<std::uint64_t, sim::Time>>::iterator>
-      index_;
 };
 
 }  // namespace roads::core

@@ -22,14 +22,6 @@ constexpr std::uint64_t kQueryCacheMaxBytes = 1 << 22;  // 4 MiB
 /// occupies an evaluation slot for this long instead of
 /// query_processing_delay — the source of the cache's throughput win.
 constexpr sim::Time kQueryCacheHitDelay = 50;  // µs
-
-/// Negative cache of summary-prune misses: a forwarded query that
-/// proved a false positive (no local match, no live subtree/replica
-/// target) is remembered and answered empty for the TTL without
-/// occupying an evaluation slot — the absorber for the fp storms the
-/// staleness-attack scenarios generate. Entry-bounded, FIFO-expired.
-constexpr std::size_t kNegativeCacheMaxEntries = 1024;
-constexpr sim::Time kNegativeCacheTtl = sim::seconds(5);
 }  // namespace
 
 RoadsServer::RoadsServer(sim::NodeId id, const RoadsConfig& config,
@@ -68,8 +60,7 @@ RoadsServer::RoadsServer(sim::NodeId id, const RoadsConfig& config,
       cache_evicted_(network.metrics().counter("roads.query.cache.evicted")),
       store_(schema_),
       replicas_(config.summary_ttl),
-      query_cache_(kQueryCacheMaxEntries, kQueryCacheMaxBytes),
-      negative_cache_(kNegativeCacheMaxEntries, kNegativeCacheTtl) {
+      query_cache_(kQueryCacheMaxEntries, kQueryCacheMaxBytes) {
   replicas_.bind_metrics(network.metrics());
 }
 
@@ -103,38 +94,16 @@ void RoadsServer::become_root() {
 void RoadsServer::start_timers() {
   if (timers_started_) return;
   timers_started_ = true;
-  auto& sim = network_.simulator();
-  // Closures armed now die with this life epoch: after a crash+restart
-  // the pre-crash timer chains must not resume next to the new ones.
-  const std::uint64_t epoch = life_epoch_;
-
   // Stagger the first refresh so all servers do not fire in lockstep;
   // the offset is deterministic per seed.
   const auto first_refresh = static_cast<sim::Time>(
       rng_.uniform(0.0, static_cast<double>(sim::seconds(1))));
-  // Self-rescheduling closures: each tick re-arms itself unless the
-  // server has stopped. The tick body lives once in a shared
-  // UniqueFunction; every arm schedules a 16-byte [tick] trampoline, so
-  // re-arming never copies (or re-allocates) the closure state. The
-  // body holds itself only weakly — the pending trampoline owns the
-  // one strong reference, so a drained or destroyed simulator releases
-  // the chain instead of leaking a shared_ptr cycle.
-  auto schedule_refresh = std::make_shared<util::UniqueFunction<void()>>();
-  *schedule_refresh =
-      [this, epoch, weak = std::weak_ptr(schedule_refresh)] {
-        if (!alive_ || life_epoch_ != epoch) return;
-        if (!refresh_paused_) refresh_summaries();
-        if (auto tick = weak.lock()) {
-          network_.simulator().schedule_after(
-              config_.summary_refresh_period, [tick] { (*tick)(); });
-        }
-      };
   {
     // Tick bodies profile as refresh-timer work; their re-arms inherit
     // the category from the executing handler automatically.
     obs::ScopedProfCategory prof_tag(obs::ProfCategory::kTimerRefresh);
-    sim.schedule_after(first_refresh,
-                       [tick = std::move(schedule_refresh)] { (*tick)(); });
+    start_periodic(first_refresh, &RoadsConfig::summary_refresh_period,
+                   &RoadsServer::on_refresh_timer);
   }
 
   if (!config_.maintenance_enabled) return;
@@ -142,35 +111,47 @@ void RoadsServer::start_timers() {
   // Failure detection starts now: reset the heartbeat clocks so peers
   // that joined long before the timers started are not instantly
   // declared dead.
-  last_parent_heartbeat_ = sim.now();
-  children_.touch_all(sim.now());
+  const auto now = network_.simulator().now();
+  last_parent_heartbeat_ = now;
+  children_.touch_all(now);
 
   const auto first_hb = static_cast<sim::Time>(
       rng_.uniform(0.0, static_cast<double>(config_.heartbeat_period)));
-  auto schedule_hb = std::make_shared<util::UniqueFunction<void()>>();
-  *schedule_hb = [this, epoch, weak = std::weak_ptr(schedule_hb)] {
-    if (!alive_ || life_epoch_ != epoch) return;
-    on_heartbeat_timer();
-    if (auto tick = weak.lock()) {
-      network_.simulator().schedule_after(config_.heartbeat_period,
-                                          [tick] { (*tick)(); });
-    }
-  };
   obs::ScopedProfCategory prof_tag(obs::ProfCategory::kTimerMaintenance);
-  sim.schedule_after(first_hb, [tick = std::move(schedule_hb)] { (*tick)(); });
+  start_periodic(first_hb, &RoadsConfig::heartbeat_period,
+                 &RoadsServer::on_heartbeat_timer);
+  // Offset the sweep by half a period so checks interleave heartbeats.
+  start_periodic(first_hb + config_.heartbeat_period / 2,
+                 &RoadsConfig::heartbeat_period,
+                 &RoadsServer::on_failure_check_timer);
+}
 
-  auto schedule_check = std::make_shared<util::UniqueFunction<void()>>();
-  *schedule_check = [this, epoch, weak = std::weak_ptr(schedule_check)] {
+void RoadsServer::start_periodic(sim::Time first,
+                                 sim::Time RoadsConfig::*period,
+                                 void (RoadsServer::*tick)()) {
+  // Each tick re-arms itself unless the server stopped or restarted
+  // since (pre-crash chains must not resume beside the new ones). The
+  // body lives once in a shared UniqueFunction; every arm schedules a
+  // 16-byte [self] trampoline, so re-arming never copies the closure
+  // state. The body holds itself only weakly — the pending trampoline
+  // owns the one strong reference, so a drained or destroyed simulator
+  // releases the chain instead of leaking a shared_ptr cycle.
+  auto chain = std::make_shared<util::UniqueFunction<void()>>();
+  *chain = [this, epoch = life_epoch_, period, tick,
+            weak = std::weak_ptr(chain)] {
     if (!alive_ || life_epoch_ != epoch) return;
-    on_failure_check_timer();
-    if (auto tick = weak.lock()) {
-      network_.simulator().schedule_after(config_.heartbeat_period,
-                                          [tick] { (*tick)(); });
+    (this->*tick)();
+    if (auto self = weak.lock()) {
+      network_.simulator().schedule_after(config_.*period,
+                                          [self] { (*self)(); });
     }
   };
-  // Offset the sweep by half a period so checks interleave heartbeats.
-  sim.schedule_after(first_hb + config_.heartbeat_period / 2,
-                     [tick = std::move(schedule_check)] { (*tick)(); });
+  network_.simulator().schedule_after(
+      first, [chain = std::move(chain)] { (*chain)(); });
+}
+
+void RoadsServer::on_refresh_timer() {
+  if (!refresh_paused_) refresh_summaries();
 }
 
 void RoadsServer::leave() {
@@ -190,18 +171,14 @@ void RoadsServer::leave() {
                    });
   }
   trace_event(obs::TraceKind::kLeave, parent_.value_or(id_));
-  alive_ = false;
-  ++life_epoch_;
-  network_.set_node_up(id_, false);
-  // Queued queries die with the server; their clients time out.
-  query_queue_.clear();
-  active_queries_ = 0;
+  fail();
 }
 
 void RoadsServer::fail() {
   alive_ = false;
   ++life_epoch_;
   network_.set_node_up(id_, false);
+  // Queued queries die with the server; their clients time out.
   query_queue_.clear();
   active_queries_ = 0;
 }
@@ -222,10 +199,7 @@ void RoadsServer::restart(sim::NodeId seed) {
   recovery_candidates_.clear();
   join_ = JoinState{};
   refresh_round_ = 0;
-  query_queue_.clear();
-  active_queries_ = 0;
   query_cache_.clear();
-  negative_cache_.clear();
 
   alive_ = true;
   ++life_epoch_;
@@ -257,48 +231,37 @@ void RoadsServer::restart(sim::NodeId seed) {
 void RoadsServer::attach_owner(std::shared_ptr<ResourceOwner> owner,
                                ExportMode mode) {
   Attachment att;
-  att.owner = owner;
+  att.owner = std::move(owner);
   att.mode = mode;
-  if (mode == ExportMode::kDetailedRecords) {
-    // The owner ships raw records; remote exports cost update traffic.
-    store_.insert_all(owner->store());
-    if (owner->node() != id_) {
-      network_.send(owner->node(), id_, owner->store().stored_bytes(),
-                    sim::Channel::kUpdate, [] {});
-    }
-  } else {
-    att.summary = std::make_shared<const summary::ResourceSummary>(
-        owner->export_summary(config_.summary));
-    if (owner->node() != id_) {
-      network_.send(owner->node(), id_, msg::summary_update(*att.summary),
-                    sim::Channel::kUpdate, [] {});
-    }
-  }
+  export_owner(att);
   attachments_.push_back(std::move(att));
 }
 
 void RoadsServer::reexport_owner(record::OwnerId owner_id) {
   for (auto& att : attachments_) {
     if (att.owner->id() != owner_id) continue;
-    if (att.mode == ExportMode::kDetailedRecords) {
-      // Replace this owner's records wholesale (soft-state refresh).
-      for (const auto& r : store_.snapshot()) {
-        if (r.owner() == owner_id) store_.erase(r.id());
-      }
-      store_.insert_all(att.owner->store());
-      if (att.owner->node() != id_) {
-        network_.send(att.owner->node(), id_, att.owner->store().stored_bytes(),
-                      sim::Channel::kUpdate, [] {});
-      }
-    } else {
-      att.summary = std::make_shared<const summary::ResourceSummary>(
-          att.owner->export_summary(config_.summary));
-      if (att.owner->node() != id_) {
-        network_.send(att.owner->node(), id_, msg::summary_update(*att.summary),
-                      sim::Channel::kUpdate, [] {});
-      }
-    }
+    // Replace this owner's records wholesale (soft-state refresh).
+    if (att.mode == ExportMode::kDetailedRecords) store_.erase_owner(owner_id);
+    export_owner(att);
     return;
+  }
+}
+
+void RoadsServer::export_owner(Attachment& att) {
+  const ResourceOwner& owner = *att.owner;
+  std::uint64_t bytes = 0;
+  if (att.mode == ExportMode::kDetailedRecords) {
+    // The owner ships raw records.
+    store_.insert_all(owner.store());
+    bytes = owner.store().stored_bytes();
+  } else {
+    att.summary = std::make_shared<const summary::ResourceSummary>(
+        owner.export_summary(config_.summary));
+    bytes = msg::summary_update(*att.summary);
+  }
+  // Remote exports cost update traffic.
+  if (owner.node() != id_) {
+    network_.send(owner.node(), id_, bytes, sim::Channel::kUpdate, [] {});
   }
 }
 
@@ -391,24 +354,8 @@ void RoadsServer::refresh_summaries() {
   local_summary_ = compute_local_summary();
   branch_summary_ = compute_branch_summary();
 
-  // Bottom-up aggregation (§III-B); silent when the branch digest has
-  // not moved since the last push.
-  if (parent_) {
-    const auto digest = branch_summary_->digest();
-    if (keepalive || parent_push_digest_ != digest) {
-      parent_push_digest_ = digest;
-      const auto stats = children_.aggregate();
-      last_pushed_stats_ = stats;
-      send_to_server(
-          *parent_, msg::summary_update(*branch_summary_),
-          sim::Channel::kUpdate,
-          [child = id_, stats, s = branch_summary_, keepalive](RoadsServer& p) {
-            p.handle_child_summary(child, stats, s, keepalive);
-          });
-    } else {
-      summary_push_suppressed_.inc();
-    }
-  }
+  // Bottom-up aggregation (§III-B).
+  if (parent_) push_branch_up(keepalive);
 
   // Top-down replication (§III-C): own branch + local summaries flow to
   // every descendant with the ancestor role; direct children see us one
@@ -416,11 +363,28 @@ void RoadsServer::refresh_summaries() {
   if (config_.overlay_enabled) {
     push_replica_to_children({id_, overlay::SummaryKind::kBranch,
                               overlay::ReplicaRole::kAncestor, 1},
-                             branch_summary_, keepalive);
+                             branch_summary_, keepalive, /*skip=*/id_);
     push_replica_to_children({id_, overlay::SummaryKind::kLocal,
                               overlay::ReplicaRole::kAncestor, 1},
-                             local_summary_, keepalive);
+                             local_summary_, keepalive, /*skip=*/id_);
   }
+}
+
+void RoadsServer::push_branch_up(bool keepalive) {
+  // Silent when the branch digest has not moved since the last push.
+  const auto digest = branch_summary_->digest();
+  if (!keepalive && parent_push_digest_ == digest) {
+    summary_push_suppressed_.inc();
+    return;
+  }
+  parent_push_digest_ = digest;
+  const auto stats = children_.aggregate();
+  last_pushed_stats_ = stats;
+  send_to_server(
+      *parent_, msg::summary_update(*branch_summary_), sim::Channel::kUpdate,
+      [child = id_, stats, s = branch_summary_, keepalive](RoadsServer& p) {
+        p.handle_child_summary(child, stats, s, keepalive);
+      });
 }
 
 void RoadsServer::handle_child_summary(sim::NodeId child,
@@ -430,31 +394,13 @@ void RoadsServer::handle_child_summary(sim::NodeId child,
   children_.update_stats(child, stats);
   children_.update_heartbeat(child, network_.simulator().now());
   children_.set_summary(child, branch, network_.simulator().now());
-  forward_child_summary_to_siblings(child, branch, keepalive);
-  push_stats_up();
-}
-
-void RoadsServer::forward_child_summary_to_siblings(sim::NodeId child,
-                                                    const SummaryPtr& summary,
-                                                    bool keepalive) {
-  if (!summary || !config_.overlay_enabled) return;
-  const overlay::ReplicaSpec spec{child, overlay::SummaryKind::kBranch,
-                                  overlay::ReplicaRole::kSibling, 1};
-  // Replica traffic splits off the generic kUpdate channel default.
-  obs::ScopedProfCategory prof_tag(obs::ProfCategory::kReplicaCascade);
-  const auto digest = summary->digest();
-  for (const auto sibling : children_.ids()) {
-    if (sibling == child) continue;
-    if (!note_push(sibling, child, static_cast<std::uint8_t>(spec.kind),
-                   digest, keepalive)) {
-      summary_push_suppressed_.inc();
-      continue;
-    }
-    send_to_server(sibling, msg::replica_push(*summary), sim::Channel::kUpdate,
-                   [spec, summary, keepalive](RoadsServer& s) {
-                     s.handle_replica(spec, summary, keepalive);
-                   });
+  // The child's branch reaches its siblings as a sibling replica.
+  if (config_.overlay_enabled) {
+    push_replica_to_children({child, overlay::SummaryKind::kBranch,
+                              overlay::ReplicaRole::kSibling, 1},
+                             branch, keepalive, /*skip=*/child);
   }
+  push_stats_up();
 }
 
 void RoadsServer::handle_replica(overlay::ReplicaSpec spec, SummaryPtr summary,
@@ -468,16 +414,18 @@ void RoadsServer::handle_replica(overlay::ReplicaSpec spec, SummaryPtr summary,
     down.role = overlay::ReplicaRole::kAncestorSibling;
   }
   if (down.levels_up < 255) ++down.levels_up;
-  push_replica_to_children(down, summary, keepalive);
+  push_replica_to_children(down, summary, keepalive, /*skip=*/id_);
 }
 
 void RoadsServer::push_replica_to_children(const overlay::ReplicaSpec& spec,
                                            const SummaryPtr& summary,
-                                           bool keepalive) {
+                                           bool keepalive, sim::NodeId skip) {
   if (!summary || children_.empty()) return;
+  // Replica traffic splits off the generic kUpdate channel default.
   obs::ScopedProfCategory prof_tag(obs::ProfCategory::kReplicaCascade);
   const auto digest = summary->digest();
   for (const auto child : children_.ids()) {
+    if (child == skip) continue;
     if (!note_push(child, spec.origin, static_cast<std::uint8_t>(spec.kind),
                    digest, keepalive)) {
       summary_push_suppressed_.inc();
@@ -618,16 +566,7 @@ void RoadsServer::handle_join_response(sim::NodeId responder,
       last_pushed_stats_ = hierarchy::BranchStats{};
       parent_push_digest_.reset();  // new parent: never suppress its first push
       push_stats_up();
-      if (branch_summary_) {
-        const auto stats = children_.aggregate();
-        parent_push_digest_ = branch_summary_->digest();
-        send_to_server(*parent_, msg::summary_update(*branch_summary_),
-                       sim::Channel::kUpdate,
-                       [child = id_, stats,
-                        s = branch_summary_](RoadsServer& p) {
-                         p.handle_child_summary(child, stats, s);
-                       });
-      }
+      if (branch_summary_) push_branch_up(/*keepalive=*/true);
       finish_join(true);
       return;
     }
@@ -837,8 +776,8 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
   query_hops_.inc();
   client->on_arrival(id_);
 
-  // Negative cache first, before admission: a remembered summary-prune
-  // miss is answered empty at lookup cost without occupying a slot, so
+  // Negative hits first, before admission: a cached summary-prune miss
+  // is answered empty at lookup cost without occupying a slot, so
   // false-positive storms (stale summaries under a staleness attack)
   // cannot queue out genuine queries. Start-mode queries never false-
   // positive, so only forwarded modes are checked. The key checked here
@@ -848,8 +787,10 @@ void RoadsServer::handle_query(std::shared_ptr<RoadsClient> client,
   CacheKey key;
   if (cached && forwarded) {
     key = cache_key(*client, mode);
-    if (negative_cache_.contains(key.key, network_.simulator().now())) {
-      // The empty false-positive reply an evaluation would send again.
+    const auto entry = query_cache_.find(key.key, key.stamp);
+    if (entry && entry->false_positive) {
+      // Every false-positive reply is this empty one; not holding the
+      // entry keeps the closure inline in the event.
       static const auto kNegativeReply = [] {
         auto reply = std::make_shared<CachedReply>();
         reply->false_positive = true;
@@ -998,9 +939,6 @@ void RoadsServer::evaluate_query(const std::shared_ptr<RoadsClient>& client,
   // sat in the processing delay keys the entry to the new state).
   if (config_.query_cache_enabled) {
     const auto key = cache_key(*client, mode);
-    if (reply->false_positive) {
-      negative_cache_.insert(key.key, network_.simulator().now());
-    }
     const auto evicted = query_cache_.insert(key.key, key.stamp, reply);
     if (evicted > 0) cache_evicted_.inc(evicted);
   }
@@ -1019,23 +957,7 @@ void RoadsServer::send_reply(const std::shared_ptr<RoadsClient>& client,
                 obs::current_trace_context().span);
   }
   if (reply->shortcut_hits > 0) overlay_shortcut_hits_.inc(reply->shortcut_hits);
-
-  network_.send(id_, client->location(),
-                msg::redirect_reply(reply->targets.size()), sim::Channel::kQuery,
-                [client, server = id_, reply] {
-                  client->on_reply(server, reply->targets, reply->local_matches,
-                                   reply->results_pending);
-                });
-
-  if (!reply->results_pending) return;
-  // Retrieval time is its own span (child of proc) so response
-  // critical paths separate evaluation from service delay.
-  network_.defer(id_, reply->service_us, "service", [this, client, reply] {
-    network_.send(id_, client->location(), msg::results(reply->record_bytes),
-                  sim::Channel::kResult, [client, server = id_, reply] {
-                    client->on_results(server, reply->records);
-                  });
-  });
+  send_query_reply(network_, id_, client, std::move(reply));
 }
 
 void RoadsServer::finish_query() {
@@ -1121,6 +1043,32 @@ std::uint64_t RoadsServer::summary_state_stamp() const {
     h.add(att.exported_digest);
   }
   return h.value();
+}
+
+void send_query_reply(sim::Network& network, sim::NodeId from,
+                      const std::shared_ptr<RoadsClient>& client,
+                      std::shared_ptr<const CachedReply> reply) {
+  network.send(from, client->location(),
+               msg::redirect_reply(reply->targets.size()), sim::Channel::kQuery,
+               [client, from, reply] {
+                 client->on_reply(from, reply->targets, reply->local_matches,
+                                  reply->results_pending);
+               });
+
+  if (!reply->results_pending) return;
+  // Retrieval time is its own span (child of proc) so response
+  // critical paths separate evaluation from service delay. The delay
+  // is read before the closure takes the reply.
+  const auto service_us = reply->service_us;
+  network.defer(
+      from, service_us, "service",
+      [&network, from, client, reply = std::move(reply)] {
+        network.send(from, client->location(),
+                     msg::results(reply->record_bytes), sim::Channel::kResult,
+                     [client, from, reply] {
+                       client->on_results(from, reply->records);
+                     });
+      });
 }
 
 }  // namespace roads::core

@@ -176,6 +176,10 @@ class RoadsServer : public QueryTarget {
   /// changed (keeps join steering accurate between refresh rounds).
   void push_stats_up();
 
+  /// Exports `att`'s owner: its records into the store, or a fresh
+  /// summary, charged to kUpdate when the owner is remote. The export
+  /// marks leave the next refresh's send decision to that refresh.
+  void export_owner(Attachment& att);
   void refresh_attachment_summaries(bool keepalive);
   /// store_summary_ (rebuilt first if the store's version moved) merged
   /// with every summary-only attachment; store_summary_ itself when
@@ -184,11 +188,15 @@ class RoadsServer : public QueryTarget {
   /// local_summary_ merged with every child's branch summary; the
   /// local summary object itself when none merges in.
   SummaryPtr compute_branch_summary() const;
+  /// Sends the branch summary and branch stats to the parent, unless
+  /// the branch digest equals the last one pushed and this is no
+  /// keepalive wave (then counts a suppressed push).
+  void push_branch_up(bool keepalive);
+  /// Pushes replica `spec` to every child but `skip` (own id: none),
+  /// suppressing each stream whose digest did not move (note_push).
   void push_replica_to_children(const overlay::ReplicaSpec& spec,
-                                const SummaryPtr& summary, bool keepalive);
-  void forward_child_summary_to_siblings(sim::NodeId child,
-                                         const SummaryPtr& summary,
-                                         bool keepalive);
+                                const SummaryPtr& summary, bool keepalive,
+                                sim::NodeId skip);
 
   /// Returns true when a push with `digest` must actually be sent to
   /// `dest` for the (origin, kind) stream — i.e. the content changed,
@@ -197,6 +205,11 @@ class RoadsServer : public QueryTarget {
   bool note_push(sim::NodeId dest, sim::NodeId origin, std::uint8_t kind,
                  std::uint64_t digest, bool keepalive);
 
+  /// Arms a timer chain that runs `tick` after `first`, then every
+  /// `config_.*period` until the server stops or restarts.
+  void start_periodic(sim::Time first, sim::Time RoadsConfig::*period,
+                      void (RoadsServer::*tick)());
+  void on_refresh_timer();
   void on_heartbeat_timer();
   void on_failure_check_timer();
   void parent_lost();
@@ -221,10 +234,9 @@ class RoadsServer : public QueryTarget {
   /// processing-delay event under its `proc` span.
   void evaluate_query(const std::shared_ptr<RoadsClient>& client,
                       QueryMode mode);
-  /// Sends a reply, cold, cached or negative-cached: bumps the
+  /// Sends a reply, cold, cached or a negative hit: bumps the
   /// false-positive and shortcut meters it names (a false positive also
-  /// marks the processing span), sends the redirect reply, and ships
-  /// the result batch after its service time.
+  /// marks the processing span), then hands it to send_query_reply.
   void send_reply(const std::shared_ptr<RoadsClient>& client,
                   std::shared_ptr<const CachedReply> reply);
   /// Releases an evaluation slot and admits the next queued query.
@@ -272,7 +284,7 @@ class RoadsServer : public QueryTarget {
   bool alive_ = true;
   bool timers_started_ = false;
   bool refresh_paused_ = false;
-  /// Bumped by fail()/leave()/restart(). Self-rescheduling timer
+  /// Bumped by fail() (which leave() ends in) and restart(). Timer
   /// closures and join timeouts capture the epoch they were armed in
   /// and go inert when it changes — otherwise a crash+restart would
   /// resume the pre-crash timer chains alongside the new ones.
@@ -361,7 +373,6 @@ class RoadsServer : public QueryTarget {
   /// Bounded inbound queue; arrivals past query_queue_limit are shed.
   std::deque<QueuedQuery> query_queue_;
   QueryResultCache query_cache_;
-  NegativeCache negative_cache_;
   /// Fold of child-summary + replica digests and the container
   /// versions it was taken at (the empty fold at version 0). The
   /// digests are memoized, so the fold only saves the walk over
@@ -371,5 +382,12 @@ class RoadsServer : public QueryTarget {
   mutable std::uint64_t stamp_child_version_ = 0;
   mutable std::uint64_t stamp_replica_version_ = 0;
 };
+
+/// Sends `reply` from `from` to the client: the redirect reply now and,
+/// when results are pending, the result batch after its service time
+/// under a `service` span. Servers and remote owners' agents share it.
+void send_query_reply(sim::Network& network, sim::NodeId from,
+                      const std::shared_ptr<RoadsClient>& client,
+                      std::shared_ptr<const CachedReply> reply);
 
 }  // namespace roads::core

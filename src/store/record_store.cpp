@@ -103,6 +103,16 @@ bool RecordStore::erase(record::RecordId id) {
   return true;
 }
 
+std::size_t RecordStore::erase_owner(record::OwnerId owner) {
+  std::vector<record::RecordId> ids;
+  for (std::size_t slot = 0; slot < ids_.size(); ++slot) {
+    if (owners_[slot] == owner) ids.push_back(ids_[slot]);
+  }
+  std::sort(ids.begin(), ids.end());
+  for (const auto id : ids) erase(id);
+  return ids.size();
+}
+
 void RecordStore::update(record::ResourceRecord record) {
   auto it = slots_.find(record.id());
   if (it == slots_.end()) {

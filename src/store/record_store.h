@@ -63,6 +63,11 @@ class RecordStore {
   /// Removes by id; returns false when absent.
   bool erase(record::RecordId id);
 
+  /// Erases every record of `owner` in ascending id order, the order
+  /// (and so the slot layout) of erasing them one by one as snapshot()
+  /// lists them, building no record; returns how many it erased.
+  std::size_t erase_owner(record::OwnerId owner);
+
   /// Replaces the record with the same id (update-in-place for dynamic
   /// resources); throws when the id is unknown.
   void update(record::ResourceRecord record);

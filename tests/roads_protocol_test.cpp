@@ -5,6 +5,7 @@
 // attribution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 
 #include "overlay/replica_set.h"
@@ -110,6 +111,72 @@ TEST(Protocol, DataChangesPropagateOnNextRefresh) {
   EXPECT_EQ(fed.run_query(q_attr0(0.78, 0.82), 0).matching_records, 1u);
   EXPECT_EQ(fed.run_query(q_attr0(0.18, 0.22), 0).matching_records, 0u);
   expect_invariants(fed);
+}
+
+// A re-export replaces exactly the owner's records in the server's
+// store, keeping every other owner's, and a remote owner pays one update
+// message for it: its record bytes (detailed) or one summary update
+// (summary-only).
+TEST(Protocol, ReexportReplacesOnlyThatOwnersRecordsAndChargesOnce) {
+  Federation fed(proto_params());
+  fed.add_servers(3);
+  // Each record carries its owner's id, which a re-export erases by.
+  const auto owned = [](const core::ResourceOwner& owner, record::RecordId id,
+                        double v) {
+    return record::ResourceRecord(
+        id, owner.id(),
+        {record::AttributeValue(v), record::AttributeValue(0.5),
+         record::AttributeValue(0.5), record::AttributeValue(0.5)});
+  };
+  const auto add = [&](core::ResourceOwner& owner, record::RecordId id,
+                       double v) { owner.store().insert(owned(owner, id, v)); };
+  auto changed = fed.add_owner(2, ExportMode::kDetailedRecords,
+                               /*colocated=*/false);
+  auto kept = fed.add_owner(2, ExportMode::kDetailedRecords);
+  auto summarized = fed.add_owner(2, ExportMode::kSummaryOnly,
+                                  /*colocated=*/false);
+  for (record::RecordId id = 1; id <= 3; ++id) add(*changed, id, 0.1 * id);
+  for (record::RecordId id = 10; id <= 12; ++id) add(*kept, id, 0.05 * id);
+  add(*summarized, 20, 0.7);
+  auto& server = fed.server(2);
+  server.attach_owner(changed, ExportMode::kDetailedRecords);
+  server.attach_owner(kept, ExportMode::kDetailedRecords);
+  server.attach_owner(summarized, ExportMode::kSummaryOnly);
+
+  // The owner drops a record, rewrites one and adds one.
+  changed->store().erase(1);
+  changed->store().update(owned(*changed, 2, 0.9));
+  add(*changed, 4, 0.4);
+  fed.network().reset_meters();
+  server.reexport_owner(changed->id());
+
+  auto want = kept->store().snapshot();
+  for (auto& r : changed->store().snapshot()) want.push_back(std::move(r));
+  std::sort(want.begin(), want.end(),
+            [](const auto& a, const auto& b) { return a.id() < b.id(); });
+  const auto got = server.local_store().snapshot();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id(), want[i].id());
+    EXPECT_EQ(got[i].owner(), want[i].owner());
+    EXPECT_EQ(got[i].values(), want[i].values());
+  }
+  EXPECT_EQ(server.local_store().stored_bytes(),
+            kept->store().stored_bytes() + changed->store().stored_bytes());
+  auto update = fed.network().meter(sim::Channel::kUpdate);
+  EXPECT_EQ(update.messages, 1u);
+  EXPECT_EQ(update.bytes, changed->store().stored_bytes());
+
+  // A summary-only owner's re-export leaves the store alone.
+  add(*summarized, 21, 0.8);
+  fed.network().reset_meters();
+  server.reexport_owner(summarized->id());
+  EXPECT_EQ(server.local_store().size(), want.size());
+  update = fed.network().meter(sim::Channel::kUpdate);
+  EXPECT_EQ(update.messages, 1u);
+  EXPECT_EQ(update.bytes,
+            core::msg::summary_update(
+                summarized->export_summary(fed.config().summary)));
 }
 
 TEST(Protocol, BranchStatsReachTheRoot) {
@@ -698,7 +765,8 @@ AttachmentReplay attachment_replay(std::uint64_t seed, std::size_t threads) {
       const double lo = pick.uniform(0.0, 0.7);
       q.add(record::Predicate::range(0, lo, lo + 0.3));
       q.add(record::Predicate::range(1, 0.1, 0.9));
-      const auto start = static_cast<sim::NodeId>((round * 3 + i * 5) % kServers);
+      const auto start =
+          static_cast<sim::NodeId>((round * 3 + i * 5) % kServers);
       const auto out = fed.run_query(q, start, core::Principal(1 + i % 2));
       fold.add(out.latency_ms);
       fold.add(out.response_ms);

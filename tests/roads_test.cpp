@@ -498,27 +498,6 @@ TEST(QueryResultCacheStamp, HitsFollowAModelScopedToTheCurrentStamp) {
   EXPECT_GT(misses, 500u);
 }
 
-TEST(NegativeCacheTtl, EntriesExpireAndRefresh) {
-  core::NegativeCache cache(/*max_entries=*/8, /*ttl=*/sim::seconds(5));
-  cache.insert(42, sim::seconds(0));
-  EXPECT_TRUE(cache.contains(42, sim::seconds(4)));
-  // A refresh restarts the clock; without it the entry dies at t=5.
-  cache.insert(42, sim::seconds(4));
-  EXPECT_TRUE(cache.contains(42, sim::seconds(8)));
-  EXPECT_FALSE(cache.contains(42, sim::seconds(10)));
-  EXPECT_EQ(cache.size(), 0u) << "expired entry still resident";
-
-  // Capacity bound evicts the oldest entry first.
-  core::NegativeCache bounded(/*max_entries=*/2, sim::seconds(100));
-  bounded.insert(1, sim::seconds(1));
-  bounded.insert(2, sim::seconds(2));
-  bounded.insert(3, sim::seconds(3));
-  EXPECT_EQ(bounded.size(), 2u);
-  EXPECT_FALSE(bounded.contains(1, sim::seconds(3)));
-  EXPECT_TRUE(bounded.contains(2, sim::seconds(3)));
-  EXPECT_TRUE(bounded.contains(3, sim::seconds(3)));
-}
-
 /// Three-node federation with per-node-identifiable records and the
 /// admission controller armed; queries aimed at node 0's band never
 /// descend (children are pruned), so queue/shed accounting is exact.
@@ -603,6 +582,166 @@ TEST(QueryAdmission, QueuedQueriesDrainInArrivalOrder) {
     previous = c->result().forwarding_latency();
   }
   EXPECT_EQ(fed.metrics().counter("roads.query.cache.shed").value(), 0u);
+}
+
+// --- Negative hits: false-positive entries of the result cache ---
+
+/// Twelve servers with one identifiable record each, the result cache
+/// on and a one-slot, no-queue admission controller everywhere (an
+/// arrival that finds the slot busy is shed), refresh paused once
+/// stable. A leaf's record is then rewritten out of band: its parent's
+/// summary still claims the old value, so `stale_query()` started at
+/// the root is steered down to the leaf and is a false positive there.
+class NegativeHit : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kServers = 12;
+
+  void SetUp() override {
+    auto params = small_params();
+    params.config.query_cache_enabled = true;
+    params.config.query_concurrency_limit = 1;
+    params.config.query_queue_limit = 0;
+    params.config.query_processing_delay = sim::seconds(1);
+    fed_ = std::make_unique<Federation>(std::move(params));
+    fed_->add_servers(kServers);
+    for (sim::NodeId n = 0; n < kServers; ++n) {
+      auto owner = fed_->add_owner(n, ExportMode::kDetailedRecords);
+      owner->store().insert(record::ResourceRecord(
+          n, owner->id(),
+          {record::AttributeValue(value_of(n)), record::AttributeValue(0.5),
+           record::AttributeValue(0.5), record::AttributeValue(0.5)}));
+      fed_->server(n).attach_owner(owner, ExportMode::kDetailedRecords);
+    }
+    fed_->start();
+    fed_->stabilize();
+    fed_->set_refresh_paused(true);
+
+    const auto topo = fed_->topology();
+    root_ = topo.root();
+    for (sim::NodeId n = 0; n < kServers; ++n) {
+      if (n != root_ && topo.is_leaf(n)) leaf_ = n;
+    }
+    ASSERT_NE(leaf_, root_);
+    auto& store = fed_->server(leaf_).local_store();
+    auto record = store.get(leaf_);
+    record.set_value(0, record::AttributeValue(value_of(leaf_) + 0.04));
+    store.update(record);
+  }
+
+  static double value_of(sim::NodeId n) {
+    return (n + 0.5) / static_cast<double>(kServers);
+  }
+  static Query query_for(sim::NodeId n) {
+    return query_attr0(value_of(n) - 0.01, value_of(n) + 0.01);
+  }
+  Query stale_query() const { return query_for(leaf_); }
+
+  std::uint64_t counter(const char* name) {
+    return fed_->metrics().counter(name).value();
+  }
+
+  /// Runs `q` from the root while a query that only `busy` evaluates
+  /// holds `busy`'s one slot (it matches no record and no summary, and
+  /// takes the full processing delay), and returns `q`'s client.
+  std::shared_ptr<core::RoadsClient> run_while_busy(const Query& q,
+                                                    sim::NodeId busy) {
+    Query nothing;
+    nothing.add(Predicate::range(1, 0.9, 1.0));
+    auto blocker = fed_->issue_query(nothing, busy);
+    auto client = fed_->issue_query(q, root_);
+    drain(*fed_, {blocker, client});
+    EXPECT_EQ(blocker->visited(), std::vector<sim::NodeId>{busy});
+    EXPECT_EQ(blocker->result().sheds, 0u);
+    return client;
+  }
+
+  std::unique_ptr<Federation> fed_;
+  sim::NodeId root_ = 0;
+  sim::NodeId leaf_ = 0;
+};
+
+// A repeat of a false-positive arrival, long after the first one, is
+// answered from its result-cache entry before admission: a negative
+// hit, not a slot-holding cache hit, and not shed while the slot is
+// busy.
+TEST_F(NegativeHit, RepeatedFalsePositiveIsANegativeHitAtAnyAge) {
+  const auto cold = fed_->run_query(stale_query(), root_);
+  ASSERT_TRUE(cold.complete);
+  ASSERT_EQ(cold.matching_records, 0u);
+  ASSERT_EQ(cold.contacted.back(), leaf_);
+  EXPECT_EQ(counter("roads.query.false_positives"), 1u);
+
+  fed_->advance(sim::seconds(6));
+  const auto hits0 = counter("roads.query.cache.hit");
+  const auto negs0 = counter("roads.query.cache.neg_hit");
+  const auto misses0 = counter("roads.query.cache.miss");
+  const auto repeat = fed_->run_query(stale_query(), root_);
+  EXPECT_EQ(repeat.contacted, cold.contacted);
+  EXPECT_EQ(counter("roads.query.cache.neg_hit") - negs0, 1u);
+  EXPECT_EQ(counter("roads.query.cache.hit") - hits0,
+            cold.contacted.size() - 1);
+  EXPECT_EQ(counter("roads.query.cache.miss"), misses0);
+  EXPECT_EQ(counter("roads.query.false_positives"), 2u);
+
+  fed_->advance(sim::seconds(6));
+  const auto busy = run_while_busy(stale_query(), leaf_);
+  EXPECT_TRUE(busy->result().complete);
+  EXPECT_EQ(busy->result().sheds, 0u) << "the negative hit took a slot";
+  EXPECT_EQ(counter("roads.query.cache.neg_hit") - negs0, 2u);
+  EXPECT_EQ(counter("roads.query.cache.shed"), 0u);
+}
+
+// The entry lives as long as the state stamp it was stored under: a
+// store write at the leaf moves the stamp, so the next arrival is
+// evaluated again (a miss, and again a false positive), and the one
+// after it is a negative hit.
+TEST_F(NegativeHit, StoreWriteMovesTheStampAndForcesAnEvaluation) {
+  const auto cold = fed_->run_query(stale_query(), root_);
+  ASSERT_EQ(cold.contacted.back(), leaf_);
+
+  auto& store = fed_->server(leaf_).local_store();
+  store.update(store.get(leaf_));  // same values, new version
+  const auto negs0 = counter("roads.query.cache.neg_hit");
+  const auto misses0 = counter("roads.query.cache.miss");
+  const auto again = fed_->run_query(stale_query(), root_);
+  EXPECT_EQ(again.contacted, cold.contacted);
+  EXPECT_EQ(counter("roads.query.cache.miss") - misses0, 1u);
+  EXPECT_EQ(counter("roads.query.cache.neg_hit"), negs0);
+  EXPECT_EQ(counter("roads.query.false_positives"), 2u);
+
+  const auto repeat = fed_->run_query(stale_query(), root_);
+  EXPECT_EQ(repeat.contacted, cold.contacted);
+  EXPECT_EQ(counter("roads.query.cache.miss") - misses0, 1u);
+  EXPECT_EQ(counter("roads.query.cache.neg_hit") - negs0, 1u);
+  EXPECT_EQ(counter("roads.query.false_positives"), 3u);
+}
+
+// An entry that is not a false positive is no negative hit: the
+// arrival goes through admission (so a busy slot sheds it) and, once
+// admitted, counts as an ordinary cache hit.
+TEST_F(NegativeHit, OtherEntriesGoThroughAdmission) {
+  const auto topo = fed_->topology();
+  sim::NodeId target = root_;
+  for (sim::NodeId n = 0; n < kServers; ++n) {
+    if (n != root_ && n != leaf_ && topo.is_leaf(n)) target = n;
+  }
+  ASSERT_NE(target, root_);
+  const auto q = query_for(target);
+  const auto cold = fed_->run_query(q, root_);
+  ASSERT_EQ(cold.matching_records, 1u);
+  ASSERT_EQ(cold.contacted.back(), target);
+
+  const auto hits0 = counter("roads.query.cache.hit");
+  const auto repeat = fed_->run_query(q, root_);
+  EXPECT_EQ(repeat.matching_records, 1u);
+  EXPECT_EQ(counter("roads.query.cache.hit") - hits0, cold.contacted.size());
+  EXPECT_EQ(counter("roads.query.cache.neg_hit"), 0u);
+
+  const auto busy = run_while_busy(q, target);
+  EXPECT_EQ(busy->result().sheds, 1u) << "admitted without a free slot";
+  EXPECT_EQ(busy->result().matching_records, 0u);
+  EXPECT_EQ(counter("roads.query.cache.shed"), 1u);
+  EXPECT_EQ(counter("roads.query.cache.neg_hit"), 0u);
 }
 
 // --- Client reply deadlines ---

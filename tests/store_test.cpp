@@ -571,6 +571,54 @@ TEST(RecordStore, DifferentialSweepAgainstRecordModel) {
   }
 }
 
+// erase_owner leaves exactly the other owners' records: the contents,
+// bytes, query answers and summary of a store that only ever held them,
+// one version step per erased record, and nothing to do for an owner
+// with no records.
+TEST(RecordStore, EraseOwnerLeavesOnlyTheOtherOwnersRecords) {
+  util::Rng rng(5);
+  summary::SummaryConfig config;
+  config.histogram_buckets = 16;
+  constexpr record::OwnerId kErased = 2;
+  RecordStore store(mixed_schema());
+  RecordStore survivors(mixed_schema());
+  std::map<record::RecordId, ResourceRecord> model;
+  std::size_t owned = 0;
+  for (record::RecordId n = 1; n <= 200; ++n) {
+    // Ids arrive out of order, so slot order and id order differ.
+    auto r = random_record(rng, n * 7919 % 100'003);
+    if (r.owner() == kErased) {
+      ++owned;
+    } else {
+      model.emplace(r.id(), r);
+      survivors.insert(r);
+    }
+    store.insert(std::move(r));
+  }
+  ASSERT_GT(owned, 0u);
+  ASSERT_GT(model.size(), 0u);
+
+  const auto version = store.version();
+  EXPECT_EQ(store.erase_owner(kErased), owned);
+  EXPECT_EQ(store.version(), version + owned);
+  check_against_model(store, model, config, rng);
+  EXPECT_EQ(store.stored_bytes(), survivors.stored_bytes());
+  EXPECT_EQ(store.summarize(config).digest(),
+            survivors.summarize(config).digest());
+  for (const auto& q : probe_queries(rng, model)) {
+    SCOPED_TRACE(q.to_string(store.schema()));
+    EXPECT_EQ(store.query(q), survivors.query(q));
+    EXPECT_EQ(store.count_matching(q), survivors.count_matching(q));
+  }
+
+  // An owner already erased, or never stored, erases nothing.
+  const auto after = store.version();
+  EXPECT_EQ(store.erase_owner(kErased), 0u);
+  EXPECT_EQ(store.erase_owner(99), 0u);
+  EXPECT_EQ(store.version(), after);
+  EXPECT_EQ(store.size(), model.size());
+}
+
 // --- Service model ---
 
 TEST(ServiceModel, MonotoneInWork) {
